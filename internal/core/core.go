@@ -152,28 +152,60 @@ type pblock struct {
 	execRedirect   bool
 }
 
-// Core simulates one core running a basic-block trace under a control-
-// flow delivery engine.
+// Core simulates one core running basic-block traces under a control-
+// flow delivery engine. Its front-end serves one or more hardware
+// contexts; the classic single-context core is the one-context case.
 type Core struct {
 	cfg    Config
-	trace  workload.Stream
 	engine prefetch.Engine
 	hier   *uncore.Hierarchy
 
 	tage *bpu.TAGE
-	ras  *bpu.RAS
 
-	dataRNG  *xrand.Source
-	dataZipf *xrand.Zipf
 	// loadDraw is the LoadFrac Bernoulli with its threshold precomputed;
-	// it consumes the same draws as dataRNG.Bool(LoadFrac) so results are
-	// unchanged.
+	// it consumes the same draws as a Bool(LoadFrac) on the context's
+	// data RNG so results are unchanged.
 	loadDraw xrand.Bernoulli
 	// loadSched is dispatch's reusable per-block load schedule: the data
 	// addresses the block's instructions access, drawn in one pass.
 	loadSched []isa.Addr
 
 	now uint64
+
+	// ctxs are the hardware contexts sharing this core's fetch engine,
+	// prefetch engine/BTB, L1-I, direction predictor, ROB and retire
+	// stage, with sub-cycle switch-on-stall: in the same cycle a context
+	// stalls, the runahead and the fetch engine move to the next ready
+	// sibling. There is always at least one.
+	ctxs   []hwContext
+	runCtx int // context the BPU runahead is following
+	fetCtx int // context the fetch engine last dispatched for
+
+	fetchBusyUntil uint64
+
+	// rob holds completion times; in-order retire from the head.
+	rob     []uint64
+	robHead int
+	robLen  int
+
+	// blocksDispatched counts trace blocks dispatched into the ROB — the
+	// progress unit of sampled execution (RunBlocks).
+	blocksDispatched uint64
+
+	stats Stats
+}
+
+// hwContext is one hardware context: its own trace stream, return-address
+// stack, lookahead window and data-side RNG state. Everything else —
+// TAGE, engine, caches, fetch bandwidth, ROB, retire — is shared with its
+// siblings, which is exactly where the SMT pressure of a multi-context
+// core comes from.
+type hwContext struct {
+	trace workload.Stream
+	ras   *bpu.RAS
+
+	dataRNG  *xrand.Source
+	dataZipf *xrand.Zipf
 
 	// pending is the lookahead window; pending[0:ftqLen] is the FTQ
 	// (evaluated, awaiting fetch); pending[ftqLen:] awaits evaluation.
@@ -188,49 +220,6 @@ type Core struct {
 	// prefetched.
 	wrongPath bool
 
-	fetchBusyUntil uint64
-	headIssued     bool
-	headReadyAt    uint64
-
-	// rob holds completion times; in-order retire from the head.
-	rob     []uint64
-	robHead int
-	robLen  int
-
-	// blocksDispatched counts trace blocks dispatched into the ROB — the
-	// progress unit of sampled execution (RunBlocks).
-	blocksDispatched uint64
-
-	// ctxs, when non-nil, switches the core to the multi-context
-	// front-end (NewMultiContext): N hardware contexts share the fetch
-	// engine, BTB/prefetch engine, L1-I and direction predictor, with
-	// <1-cycle switch-on-stall. The single-context fields above are then
-	// unused; Tick/NextEvent/AdvanceIdle dispatch to the MC variants.
-	ctxs   []*hwContext
-	runCtx int // context the BPU runahead is following
-	fetCtx int // context the fetch engine last dispatched for
-
-	stats Stats
-}
-
-// hwContext is one hardware context of a multi-context front-end: its
-// own trace stream, return-address stack, lookahead window and data-side
-// RNG state. Everything else — TAGE, engine, caches, fetch bandwidth,
-// ROB, retire — is shared with its siblings, which is exactly where the
-// SMT pressure this mode models comes from.
-type hwContext struct {
-	trace workload.Stream
-	ras   *bpu.RAS
-
-	dataRNG  *xrand.Source
-	dataZipf *xrand.Zipf
-
-	pending []pblock
-	ftqLen  int
-
-	runStallUntil uint64
-	wrongPath     bool
-
 	headIssued  bool
 	headReadyAt uint64
 }
@@ -242,12 +231,12 @@ func (hc *hwContext) ensurePending(n int) {
 	}
 }
 
-// popPending removes the context's pending[0] after dispatch, mirroring
-// Core.popPending's compaction policy.
+// popPending removes the context's pending[0] after dispatch.
 func (hc *hwContext) popPending(cfg *Config) {
 	hc.pending = hc.pending[1:]
 	hc.ftqLen--
 	hc.headIssued = false
+	// Periodically compact the backing array.
 	if cap(hc.pending) > 4*(cfg.FTQEntries+8) && len(hc.pending) <= cfg.FTQEntries+8 {
 		fresh := make([]pblock, len(hc.pending), cfg.FTQEntries+8)
 		copy(fresh, hc.pending)
@@ -255,56 +244,53 @@ func (hc *hwContext) popPending(cfg *Config) {
 	}
 }
 
+// fillWaiting reports whether the context's FTQ head is an issued fetch
+// still waiting on its L1-I fill.
+func (hc *hwContext) fillWaiting(now uint64) bool {
+	return hc.ftqLen > 0 && hc.headIssued && hc.headReadyAt > now
+}
+
 // ctxDataSalt decorrelates per-context data-side RNG streams within one
-// core. Context 0 is unsalted: a one-context core draws the exact
-// single-context stream.
+// core. Context 0 is unsalted, so adding contexts to a core leaves
+// context 0's data stream unchanged.
 func ctxDataSalt(k int) uint64 {
 	return uint64(k) * 0x94d049bb133111eb
 }
 
-// New builds a core over the given trace, engine and hierarchy.
+// New builds a single-context core over the given trace, engine and
+// hierarchy.
 func New(cfg Config, trace workload.Stream, engine prefetch.Engine, hier *uncore.Hierarchy) *Core {
-	cfg.setDefaults()
-	rng := xrand.New(cfg.DataSeed)
-	tage := bpu.NewTAGE()
-	if cfg.CLZTage {
-		tage = bpu.NewCLZTAGE()
-	}
-	return &Core{
-		cfg:       cfg,
-		trace:     trace,
-		engine:    engine,
-		hier:      hier,
-		tage:      tage,
-		ras:       bpu.NewRAS(cfg.RASEntries),
-		dataRNG:   rng,
-		dataZipf:  xrand.NewZipf(rng, cfg.DataBlocks, cfg.DataZipfS),
-		loadDraw:  xrand.NewBernoulli(cfg.LoadFrac),
-		loadSched: make([]isa.Addr, 0, isa.MaxBlockInstrs),
-		rob:       make([]uint64, cfg.ROBEntries),
-	}
+	return NewMultiContext(cfg, []workload.Stream{trace}, engine, hier)
 }
 
 // NewMultiContext builds a core whose front-end is shared by
-// len(streams) hardware contexts, one trace stream per context. A
-// single stream yields exactly the classic single-context core (New),
-// so the scenario layer can call this unconditionally. With N>1
-// streams, each context gets its own RAS, lookahead window and salted
-// data-side RNG; the fetch engine, prefetch engine/BTB, caches,
-// direction predictor, ROB and retire stage are shared.
+// len(streams) hardware contexts, one trace stream per context. Each
+// context gets its own RAS, lookahead window and salted data-side RNG;
+// the fetch engine, prefetch engine/BTB, caches, direction predictor,
+// ROB and retire stage are shared. A single stream is the classic
+// single-context core.
 func NewMultiContext(cfg Config, streams []workload.Stream, engine prefetch.Engine, hier *uncore.Hierarchy) *Core {
 	if len(streams) == 0 {
 		panic("core: NewMultiContext needs at least one stream")
 	}
 	cfg.setDefaults()
-	c := New(cfg, streams[0], engine, hier)
-	if len(streams) == 1 {
-		return c
+	tage := bpu.NewTAGE()
+	if cfg.CLZTage {
+		tage = bpu.NewCLZTAGE()
 	}
-	c.ctxs = make([]*hwContext, len(streams))
+	c := &Core{
+		cfg:       cfg,
+		engine:    engine,
+		hier:      hier,
+		tage:      tage,
+		loadDraw:  xrand.NewBernoulli(cfg.LoadFrac),
+		loadSched: make([]isa.Addr, 0, isa.MaxBlockInstrs),
+		ctxs:      make([]hwContext, len(streams)),
+		rob:       make([]uint64, cfg.ROBEntries),
+	}
 	for k, s := range streams {
 		rng := xrand.New(cfg.DataSeed ^ ctxDataSalt(k))
-		c.ctxs[k] = &hwContext{
+		c.ctxs[k] = hwContext{
 			trace:    s,
 			ras:      bpu.NewRAS(cfg.RASEntries),
 			dataRNG:  rng,
@@ -321,8 +307,8 @@ func (c *Core) Now() uint64 { return c.now }
 func (c *Core) Stats() Stats { return c.stats }
 
 // Instructions returns the retired-instruction counter alone — the
-// per-tick progress probe of the scenario lockstep loop, which must not
-// copy the whole Stats struct every cycle.
+// per-tick progress probe of the scenario kernels, which must not copy
+// the whole Stats struct every cycle.
 func (c *Core) Instructions() uint64 { return c.stats.Instructions }
 
 // Hierarchy returns the memory hierarchy.
@@ -342,28 +328,11 @@ func (c *Core) ResetStats() {
 
 // Run advances the simulation until at least n instructions have retired
 // past the point this call was made, returning the cycle count consumed.
-//
-// Run is event-driven: after each real tick it skips ahead over the
-// provably-idle span to the core's next event (NextEvent/AdvanceIdle),
-// which is bit-identical to ticking every cycle — the scenario layer's
-// lockstep engine still ticks cycle-by-cycle, and the equality tests
-// (TestLockstepMatchesSerialSingleCore, TestEventKernelMatchesLockstep)
-// pin the two executions to the same results.
+// After each real tick it skips ahead over the provably-idle span to the
+// core's next event (NextEvent/AdvanceIdle), which is bit-identical to
+// ticking every cycle.
 func (c *Core) Run(n uint64) uint64 {
-	startCycles := c.stats.Cycles
-	target := c.stats.Instructions + n
-	for c.stats.Instructions < target {
-		c.Tick()
-		if c.stats.Instructions >= target {
-			// The crossing tick ends the run; skipping the idle span that
-			// follows it would charge cycles a per-cycle loop never runs.
-			break
-		}
-		if next := c.NextEvent(); next > c.now {
-			c.AdvanceIdle(next - c.now)
-		}
-	}
-	return c.stats.Cycles - startCycles
+	return c.runUntil(&c.stats.Instructions, c.stats.Instructions+n)
 }
 
 // BlocksDispatched returns how many trace blocks have been dispatched —
@@ -375,11 +344,17 @@ func (c *Core) BlocksDispatched() uint64 { return c.blocksDispatched }
 // in blocks rather than instructions so unit boundaries land on trace
 // positions, independent of retire lag.
 func (c *Core) RunBlocks(n uint64) uint64 {
+	return c.runUntil(&c.blocksDispatched, c.blocksDispatched+n)
+}
+
+// runUntil ticks, skipping idle spans, until *progress reaches target.
+func (c *Core) runUntil(progress *uint64, target uint64) uint64 {
 	startCycles := c.stats.Cycles
-	target := c.blocksDispatched + n
-	for c.blocksDispatched < target {
+	for *progress < target {
 		c.Tick()
-		if c.blocksDispatched >= target {
+		if *progress >= target {
+			// The crossing tick ends the run; skipping the idle span that
+			// follows it would charge cycles a per-cycle loop never runs.
 			break
 		}
 		if next := c.NextEvent(); next > c.now {
@@ -398,20 +373,24 @@ func (c *Core) RunBlocks(n uint64) uint64 {
 // reset so the next detailed phase starts from a clean FTQ. The clock,
 // the ROB, and in-flight fills are left untouched: warming takes zero
 // simulated time.
+//
+// Functional warming (BeginWarm, WarmBlock(s), SkimBlocks) acts on
+// context 0; sampled execution runs single-context cores only.
 func (c *Core) BeginWarm() {
-	for i := range c.pending {
-		p := &c.pending[i]
+	hc := &c.ctxs[0]
+	for i := range hc.pending {
+		p := &hc.pending[i]
 		if p.evaluated {
 			c.warmCaches(p.bb)
 		} else {
 			c.WarmBlock(p.bb)
 		}
 	}
-	c.pending = c.pending[:0]
-	c.ftqLen = 0
-	c.headIssued = false
-	c.wrongPath = false
-	c.runStallUntil = 0
+	hc.pending = hc.pending[:0]
+	hc.ftqLen = 0
+	hc.headIssued = false
+	hc.wrongPath = false
+	hc.runStallUntil = 0
 	c.fetchBusyUntil = 0
 }
 
@@ -425,9 +404,10 @@ func (c *Core) WarmBlock(bb isa.BasicBlock) {
 // WarmBlocks functionally executes the next n trace blocks, returning
 // the instructions they carry (the fast-forwarded instruction count).
 func (c *Core) WarmBlocks(n uint64) uint64 {
+	trace := c.ctxs[0].trace
 	var instr uint64
 	for i := uint64(0); i < n; i++ {
-		bb := c.trace.Next()
+		bb := trace.Next()
 		instr += uint64(bb.NumInstr)
 		c.WarmBlock(bb)
 	}
@@ -442,6 +422,7 @@ func (c *Core) WarmBlocks(n uint64) uint64 {
 // instruction working set is too large to rebuild in any affordable
 // window, so it alone must track the stream continuously.
 func (c *Core) SkimBlocks(n uint64) uint64 {
+	trace := c.ctxs[0].trace
 	var instr uint64
 	// Consecutive basic blocks mostly share one 64-byte cache block
 	// (~5.5 instructions per bb); touching it once per run of repeats
@@ -449,7 +430,7 @@ func (c *Core) SkimBlocks(n uint64) uint64 {
 	// Access calls, which dominate the skim's cost.
 	last := isa.Addr(1) // never a block-aligned address
 	for i := uint64(0); i < n; i++ {
-		bb := c.trace.Next()
+		bb := trace.Next()
 		instr += uint64(bb.NumInstr)
 		first, lastBlk := bb.BlockSpan()
 		for blk := first; blk <= lastBlk; blk += isa.BlockBytes {
@@ -469,8 +450,9 @@ func (c *Core) SkimBlocks(n uint64) uint64 {
 // notes for returns and jumps — so the direction predictor and RAS cross
 // a warming gap in the same state a detailed run would leave them.
 func (c *Core) warmBPU(bb isa.BasicBlock) {
+	ras := c.ctxs[0].ras
 	if bb.Kind.IsReturn() {
-		c.ras.Pop()
+		ras.Pop()
 	}
 	c.engine.Warm(bb)
 	switch {
@@ -478,7 +460,7 @@ func (c *Core) warmBPU(bb isa.BasicBlock) {
 		c.tage.Predict(bb.BranchPC())
 		c.tage.Update(bb.BranchPC(), bb.Taken)
 	case bb.Kind.IsCallLike():
-		c.ras.Push(bpu.RASEntry{ReturnAddr: bb.FallThrough(), CallBlock: bb.PC})
+		ras.Push(bpu.RASEntry{ReturnAddr: bb.FallThrough(), CallBlock: bb.PC})
 		c.tage.NoteUncond()
 	case bb.Kind.IsReturn():
 		c.tage.NoteUncond()
@@ -493,13 +475,14 @@ func (c *Core) warmBPU(bb isa.BasicBlock) {
 // data RNG stream aligned across mode switches) with L1-D/LLC warming
 // for the loads, and the engine's retire-order training hook.
 func (c *Core) warmCaches(bb isa.BasicBlock) {
+	hc := &c.ctxs[0]
 	first, last := bb.BlockSpan()
 	for blk := first; blk <= last; blk += isa.BlockBytes {
 		c.hier.WarmFetch(blk)
 	}
 	for i := 0; i < bb.NumInstr; i++ {
-		if c.loadDraw.Draw(c.dataRNG) {
-			c.hier.WarmData(dataBase + isa.Addr(c.dataZipf.Next()*isa.BlockBytes))
+		if c.loadDraw.Draw(hc.dataRNG) {
+			c.hier.WarmData(dataBase + isa.Addr(hc.dataZipf.Next()*isa.BlockBytes))
 		}
 	}
 	c.engine.OnRetire(bb)
@@ -507,56 +490,62 @@ func (c *Core) warmCaches(bb isa.BasicBlock) {
 
 // NextEvent returns the earliest cycle at which Tick can do anything
 // beyond idle accounting: materialize an arrival, evaluate a block into
-// the FTQ, issue or complete a fetch, dispatch, or retire. Every cycle
-// in [Now, NextEvent) is provably idle — a Tick there mutates nothing
-// but the stall counters, Cycles, and the clock (exactly what
-// AdvanceIdle bulk-applies) and touches no shared uncore state.
+// some context's FTQ, issue or complete a fetch, dispatch, or retire.
+// Every cycle in [Now, NextEvent) is provably idle — a Tick there
+// mutates nothing but the stall counters, Cycles, and the clock (exactly
+// what AdvanceIdle bulk-applies) and touches no shared uncore state.
 //
 // The deadline may be conservative (an "active" tick may still find
 // nothing to do after a flush re-steers state), but it is never late:
 // each branch below mirrors one gating condition of Tick's sub-units,
 // and each such condition can only change at a deadline this function
-// already includes. A finite value always exists while the trace has
-// blocks — the runahead can act whenever the FTQ has room and the path
-// is right, a wrong path implies an undispatched FTQ entry, and a full
-// FTQ implies fetch or retire has a pending deadline.
+// already includes. A finite value always exists while the traces have
+// blocks — the runahead can act whenever a context has FTQ room and is
+// on the right path, a wrong path implies an undispatched FTQ entry, and
+// a full FTQ implies fetch or retire has a pending deadline.
 func (c *Core) NextEvent() uint64 {
-	if c.ctxs != nil {
-		return c.nextEventMC()
-	}
 	// Completed fills are materialized the cycle the watermark expires.
 	next := c.hier.NextArrival()
 
-	// Runahead: able to evaluate now unless stalled, wrong-path, or out
-	// of FTQ room; a pending reactive resolution is itself a deadline.
-	if !c.wrongPath && c.ftqLen < c.cfg.FTQEntries {
-		if c.now >= c.runStallUntil {
-			return c.now
+	fetchBusy := c.now < c.fetchBusyUntil
+	anyFTQ := false
+	for i := range c.ctxs {
+		hc := &c.ctxs[i]
+		// Runahead: able to evaluate now unless stalled, wrong-path, or
+		// out of FTQ room; a pending reactive resolution is a deadline.
+		if !hc.wrongPath && hc.ftqLen < c.cfg.FTQEntries {
+			if c.now >= hc.runStallUntil {
+				return c.now
+			}
+			if hc.runStallUntil < next {
+				next = hc.runStallUntil
+			}
 		}
-		if c.runStallUntil < next {
-			next = c.runStallUntil
+		if hc.ftqLen == 0 {
+			continue
 		}
-	}
-
-	// Fetch: the regime boundaries (fetch bandwidth busy, fill wait) are
-	// deadlines; an unissued head or a dispatchable head is activity now.
-	if c.ftqLen > 0 {
+		anyFTQ = true
+		if fetchBusy {
+			continue
+		}
+		// Fetch, past the bandwidth boundary: an unissued head or a
+		// dispatchable head is activity now; a fill wait is a deadline.
 		switch {
-		case c.now < c.fetchBusyUntil:
-			if c.fetchBusyUntil < next {
-				next = c.fetchBusyUntil
-			}
-		case !c.headIssued:
+		case !hc.headIssued:
 			return c.now
-		case c.headReadyAt > c.now:
-			if c.headReadyAt < next {
-				next = c.headReadyAt
+		case hc.headReadyAt > c.now:
+			if hc.headReadyAt < next {
+				next = hc.headReadyAt
 			}
-		case c.robFree() >= c.pending[0].bb.NumInstr:
+		case c.robFree() >= hc.pending[0].bb.NumInstr:
 			return c.now
-			// Otherwise the head waits on backend pressure, which only
+			// Otherwise this head waits on backend pressure, which only
 			// the retire deadline below can relieve.
 		}
+	}
+	// The fetch bandwidth boundary is a deadline while any FTQ is fed.
+	if anyFTQ && fetchBusy && c.fetchBusyUntil < next {
+		next = c.fetchBusyUntil
 	}
 
 	// Retire: the head of the ROB completes at a known cycle.
@@ -581,14 +570,15 @@ func (c *Core) AdvanceIdle(k uint64) {
 	if k == 0 {
 		return
 	}
-	if c.ctxs != nil {
-		c.advanceIdleMC(k)
-		return
-	}
 	// fetch() counts a fill-wait cycle iff it is past the bandwidth
-	// boundary with an issued head that has not arrived yet.
-	if c.ftqLen > 0 && c.now >= c.fetchBusyUntil && c.headIssued && c.headReadyAt > c.now {
-		c.stats.FetchStallCycles += k
+	// boundary with some context's issued head not yet arrived.
+	if c.now >= c.fetchBusyUntil {
+		for i := range c.ctxs {
+			if c.ctxs[i].fillWaiting(c.now) {
+				c.stats.FetchStallCycles += k
+				break
+			}
+		}
 	}
 	// retire() classifies every zero-retire cycle; idle cycles retire
 	// nothing by definition.
@@ -603,19 +593,15 @@ func (c *Core) AdvanceIdle(k uint64) {
 
 // Tick advances the simulation by one cycle.
 func (c *Core) Tick() {
-	if c.ctxs != nil {
-		c.tickMC()
-		return
-	}
 	// 1. Materialize completed fills; let the engine predecode them.
 	if arr := c.hier.PollArrivals(c.now); arr != nil {
 		c.engine.OnArrival(c.now, arr)
 	}
 
-	// 2. Branch-prediction unit runahead: evaluate blocks into the FTQ.
+	// 2. Branch-prediction unit runahead: evaluate blocks into the FTQs.
 	c.runahead()
 
-	// 3. Fetch: consume the FTQ head through the L1-I into the ROB.
+	// 3. Fetch: consume an FTQ head through the L1-I into the ROB.
 	c.fetch()
 
 	// 4. Retire up to RetireWidth completed instructions in order.
@@ -625,47 +611,45 @@ func (c *Core) Tick() {
 	c.stats.Cycles++
 }
 
-// ensurePending tops up the lookahead window from the trace.
-func (c *Core) ensurePending(n int) {
-	for len(c.pending) < n {
-		c.pending = append(c.pending, pblock{bb: c.trace.Next()})
-	}
-}
-
 // runahead advances the BPU: up to RunaheadPerCycle blocks are evaluated
 // (BTB lookup, direction/return prediction, engine prefetching) and
-// appended to the FTQ.
+// appended to the FTQ of the context being followed. The BPU keeps
+// following c.runCtx while it can make progress and switches to the next
+// ready sibling the moment it cannot — switch-on-stall at zero cost.
 func (c *Core) runahead() {
+	n := len(c.ctxs)
 	for i := 0; i < c.cfg.RunaheadPerCycle; i++ {
-		if c.now < c.runStallUntil {
-			return // reactive BTB-miss resolution in progress
+		k := c.runCtx
+		hc := &c.ctxs[k]
+		// Not stalled on a reactive resolution, not down a wrong path,
+		// and FTQ room left: otherwise try the next sibling.
+		for j := 1; c.now < hc.runStallUntil || hc.wrongPath || hc.ftqLen >= c.cfg.FTQEntries; j++ {
+			if j == n {
+				return // every context stalled, wrong-path, or FTQ-full
+			}
+			if k++; k == n {
+				k = 0
+			}
+			hc = &c.ctxs[k]
 		}
-		if c.wrongPath {
-			return // runahead is down a wrong path until the flush
-		}
-		if c.ftqLen >= c.cfg.FTQEntries {
-			return // FTQ full
-		}
-		c.ensurePending(c.ftqLen + 1)
-		p := &c.pending[c.ftqLen]
+		c.runCtx = k
+		hc.ensurePending(hc.ftqLen + 1)
+		p := &hc.pending[hc.ftqLen]
 		if !p.evaluated {
-			stall := c.evaluate(p, c.ras)
-			if stall > c.now {
-				c.runStallUntil = stall
+			if stall := c.evaluate(hc, p); stall > c.now {
+				hc.runStallUntil = stall
 			}
 		}
 		if p.decodeRedirect || p.execRedirect {
-			c.wrongPath = true
+			hc.wrongPath = true
 		}
-		c.ftqLen++
+		hc.ftqLen++
 	}
 }
 
-// evaluate performs the one-time BPU evaluation of a pending block,
-// returning a non-zero stall deadline for reactive resolutions. The RAS
-// is passed in because it is per-context state in multi-context mode;
-// the single-context path always passes c.ras.
-func (c *Core) evaluate(p *pblock, ras *bpu.RAS) uint64 {
+// evaluate performs the one-time BPU evaluation of a context's pending
+// block, returning a non-zero stall deadline for reactive resolutions.
+func (c *Core) evaluate(hc *hwContext, p *pblock) uint64 {
 	bb := p.bb
 	p.evaluated = true
 
@@ -676,7 +660,7 @@ func (c *Core) evaluate(p *pblock, ras *bpu.RAS) uint64 {
 	rasOK := false
 	rasWrong := false
 	if bb.Kind.IsReturn() {
-		e, ok := ras.Pop()
+		e, ok := hc.ras.Pop()
 		rasOK = ok
 		rasCallBlock = e.CallBlock
 		rasPredTarget = e.ReturnAddr
@@ -705,7 +689,7 @@ func (c *Core) evaluate(p *pblock, ras *bpu.RAS) uint64 {
 			c.engine.OnMispredict(c.now, wrong)
 		}
 	case bb.Kind.IsCallLike():
-		ras.Push(bpu.RASEntry{ReturnAddr: bb.FallThrough(), CallBlock: bb.PC})
+		hc.ras.Push(bpu.RASEntry{ReturnAddr: bb.FallThrough(), CallBlock: bb.PC})
 		c.tage.NoteUncond()
 	case bb.Kind.IsReturn():
 		if ev.BTBHit && rasWrong {
@@ -727,104 +711,118 @@ func (c *Core) evaluate(p *pblock, ras *bpu.RAS) uint64 {
 	return ev.StallUntil
 }
 
-// fetch consumes the FTQ head: issue the demand fetch for its cache
-// blocks, wait for arrival, then dispatch its instructions into the ROB.
-func (c *Core) fetch() {
-	if c.now < c.fetchBusyUntil || c.ftqLen == 0 {
-		return
-	}
-	p := &c.pending[0]
-
-	if !c.headIssued {
-		ready := c.now
-		first, last := p.bb.BlockSpan()
-		for blk := first; blk <= last; blk += isa.BlockBytes {
-			r, src := c.hier.FetchBlock(c.now, blk)
-			c.engine.OnFetch(c.now, blk, src)
-			if src == uncore.SrcLLC || src == uncore.SrcMemory {
-				c.engine.OnDemandMiss(c.now, blk)
-			}
-			if r > ready {
-				ready = r
-			}
+// issueHead issues the demand fetch for a context's FTQ head, recording
+// when its last block arrives.
+func (c *Core) issueHead(hc *hwContext) {
+	ready := c.now
+	first, last := hc.pending[0].bb.BlockSpan()
+	for blk := first; blk <= last; blk += isa.BlockBytes {
+		r, src := c.hier.FetchBlock(c.now, blk)
+		c.engine.OnFetch(c.now, blk, src)
+		if src == uncore.SrcLLC || src == uncore.SrcMemory {
+			c.engine.OnDemandMiss(c.now, blk)
 		}
-		c.headIssued = true
-		c.headReadyAt = ready
+		if r > ready {
+			ready = r
+		}
 	}
-	if c.headReadyAt > c.now {
-		c.stats.FetchStallCycles++
-		return // L1-I fill in progress
-	}
-
-	// Dispatch into the ROB (all instructions of the block at once).
-	n := p.bb.NumInstr
-	if c.robFree() < n {
-		return // backend pressure
-	}
-	c.dispatch(p.bb, c.dataRNG, c.dataZipf)
-
-	// Fetch bandwidth: a 3-wide front-end needs ceil(n/width) cycles.
-	busy := uint64((n + c.cfg.FetchWidth - 1) / c.cfg.FetchWidth)
-	c.fetchBusyUntil = c.now + busy
-
-	// Redirects: flush the FTQ beyond the branch and re-steer.
-	switch {
-	case p.decodeRedirect:
-		c.stats.DecodeRedirects++
-		c.redirect(c.cfg.DecodeRedirectCycles)
-	case p.execRedirect:
-		c.stats.ExecRedirects++
-		c.redirect(c.cfg.ExecRedirectCycles)
-	}
-
-	// Pop the dispatched block.
-	c.popPending()
+	hc.headIssued = true
+	hc.headReadyAt = ready
 }
 
-// redirect models a pipeline re-steer: fetch emits a bubble and the FTQ
-// contents past the redirecting branch are discarded (the runahead
-// re-walks them; cached evaluations prevent double training).
-func (c *Core) redirect(penalty int) {
+// fetch runs the shared fetch engine: once past the bandwidth boundary
+// it first issues every unissued FTQ head (demand probes overlap across
+// contexts — fetch-under-fill), then dispatches the instructions of the
+// first head, round-robin from the last context served, that has arrived
+// and fits the ROB. At most one context dispatches per bandwidth slot; a
+// cycle where the only eligible heads are waiting on fills is a fetch
+// stall.
+func (c *Core) fetch() {
+	if c.now < c.fetchBusyUntil {
+		return
+	}
+	for i := range c.ctxs {
+		if hc := &c.ctxs[i]; hc.ftqLen > 0 && !hc.headIssued {
+			c.issueHead(hc)
+		}
+	}
+	n := len(c.ctxs)
+	k := c.fetCtx
+	for j := 0; j < n; j++ {
+		if j > 0 {
+			if k++; k == n {
+				k = 0
+			}
+		}
+		hc := &c.ctxs[k]
+		if hc.ftqLen == 0 || hc.headReadyAt > c.now {
+			continue
+		}
+		p := &hc.pending[0]
+		if c.robFree() < p.bb.NumInstr {
+			continue // backend pressure
+		}
+		c.dispatch(hc, p.bb)
+
+		// Fetch bandwidth: a 3-wide front-end needs ceil(n/width) cycles.
+		busy := uint64((p.bb.NumInstr + c.cfg.FetchWidth - 1) / c.cfg.FetchWidth)
+		c.fetchBusyUntil = c.now + busy
+
+		// Redirects: flush the FTQ beyond the branch and re-steer.
+		switch {
+		case p.decodeRedirect:
+			c.stats.DecodeRedirects++
+			c.redirect(hc, c.cfg.DecodeRedirectCycles)
+		case p.execRedirect:
+			c.stats.ExecRedirects++
+			c.redirect(hc, c.cfg.ExecRedirectCycles)
+		}
+		hc.popPending(&c.cfg)
+		c.fetCtx = k
+		return
+	}
+	// No context could dispatch; charge one fill-wait cycle iff some
+	// context is actually waiting on an issued fetch.
+	for i := range c.ctxs {
+		if c.ctxs[i].fillWaiting(c.now) {
+			c.stats.FetchStallCycles++
+			return
+		}
+	}
+}
+
+// redirect models a pipeline re-steer of one context: the bubble
+// occupies the shared fetch engine, and the context's FTQ contents past
+// the redirecting branch are discarded (the runahead re-walks them;
+// cached evaluations prevent double training).
+func (c *Core) redirect(hc *hwContext, penalty int) {
 	until := c.now + uint64(penalty)
 	if until > c.fetchBusyUntil {
 		c.fetchBusyUntil = until
 	}
-	c.ftqLen = 1 // keep only the block being dispatched
-	if c.runStallUntil > c.now {
+	hc.ftqLen = 1 // keep only the block being dispatched
+	if hc.runStallUntil > c.now {
 		// The pending resolution belongs to a flushed entry; the
 		// re-walk will find the BTB filled, so drop the stall.
-		c.runStallUntil = c.now
+		hc.runStallUntil = c.now
 	}
 	// The flush re-steers the BPU onto the correct path.
-	c.wrongPath = false
+	hc.wrongPath = false
 }
 
-// popPending removes pending[0] after dispatch.
-func (c *Core) popPending() {
-	c.pending = c.pending[1:]
-	c.ftqLen--
-	c.headIssued = false
-	// Periodically compact the backing array.
-	if cap(c.pending) > 4*(c.cfg.FTQEntries+8) && len(c.pending) <= c.cfg.FTQEntries+8 {
-		fresh := make([]pblock, len(c.pending), c.cfg.FTQEntries+8)
-		copy(fresh, c.pending)
-		c.pending = fresh
-	}
-}
-
-// dispatch enters a block's instructions into the ROB and notifies the
-// engine of the retire-order stream (dispatch order equals retire order).
+// dispatch enters a context's block into the ROB and notifies the engine
+// of the retire-order stream (dispatch order equals retire order).
 //
 // The data side runs off a per-block schedule: one pass draws which
-// instructions load and from where (the Bernoulli/Zipf draws, in the same
-// per-instruction order as ever, so the random stream and therefore every
-// result is unchanged), then the hierarchy is charged and the ROB filled
-// from the schedule. Non-load instructions take the scheduling fast path:
-// one RNG draw, no hierarchy call.
-// The RNG and Zipf are passed in because they are per-context state in
-// multi-context mode; the single-context path always passes its own.
-func (c *Core) dispatch(bb isa.BasicBlock, rng *xrand.Source, zipf *xrand.Zipf) {
+// instructions load and from where (the Bernoulli/Zipf draws on the
+// context's data RNG, in the same per-instruction order as ever, so the
+// random stream and therefore every result is unchanged), then the
+// hierarchy is charged and the ROB filled from the schedule. Non-load
+// instructions take the scheduling fast path: one RNG draw, no
+// hierarchy call.
+func (c *Core) dispatch(hc *hwContext, bb isa.BasicBlock) {
 	execLat := uint64(c.cfg.ExecLatencyCycles)
+	rng, zipf := hc.dataRNG, hc.dataZipf
 	// Pass 1: the load schedule. A sentinel address marks non-loads so
 	// pass 2 preserves instruction order without a second draw.
 	sched := c.loadSched[:0]
@@ -884,227 +882,4 @@ func (c *Core) retire() {
 			c.stats.BackEndStallCycles++
 		}
 	}
-}
-
-// ---- Multi-context front-end ------------------------------------------
-//
-// The MC variants below mirror Tick/NextEvent/AdvanceIdle over N hardware
-// contexts sharing one fetch engine, prefetch engine/BTB, L1-I, direction
-// predictor, ROB and retire stage. Switch-on-stall is sub-cycle: in the
-// same cycle a context stalls, the runahead and the fetch engine move to
-// the next ready sibling. The single-context fields of Core are unused in
-// this mode; per-context state lives in hwContext.
-
-// tickMC advances the multi-context simulation by one cycle, in the same
-// sub-unit order as Tick.
-func (c *Core) tickMC() {
-	if arr := c.hier.PollArrivals(c.now); arr != nil {
-		c.engine.OnArrival(c.now, arr)
-	}
-	c.runaheadMC()
-	c.fetchMC()
-	c.retire()
-	c.now++
-	c.stats.Cycles++
-}
-
-// runaheadMC spends the cycle's RunaheadPerCycle evaluations on the
-// contexts: the BPU keeps following c.runCtx while it can make progress
-// (not stalled, not wrong-path, FTQ room) and switches to the next ready
-// sibling the moment it cannot — switch-on-stall at zero cost.
-func (c *Core) runaheadMC() {
-	for i := 0; i < c.cfg.RunaheadPerCycle; i++ {
-		var hc *hwContext
-		for j := 0; j < len(c.ctxs); j++ {
-			k := (c.runCtx + j) % len(c.ctxs)
-			cand := c.ctxs[k]
-			if c.now < cand.runStallUntil || cand.wrongPath || cand.ftqLen >= c.cfg.FTQEntries {
-				continue
-			}
-			c.runCtx = k
-			hc = cand
-			break
-		}
-		if hc == nil {
-			return // every context stalled, wrong-path, or FTQ-full
-		}
-		hc.ensurePending(hc.ftqLen + 1)
-		p := &hc.pending[hc.ftqLen]
-		if !p.evaluated {
-			if stall := c.evaluate(p, hc.ras); stall > c.now {
-				hc.runStallUntil = stall
-			}
-		}
-		if p.decodeRedirect || p.execRedirect {
-			hc.wrongPath = true
-		}
-		hc.ftqLen++
-	}
-}
-
-// issueHead issues the demand fetch for a context's FTQ head, recording
-// when its last block arrives.
-func (c *Core) issueHead(hc *hwContext) {
-	ready := c.now
-	first, last := hc.pending[0].bb.BlockSpan()
-	for blk := first; blk <= last; blk += isa.BlockBytes {
-		r, src := c.hier.FetchBlock(c.now, blk)
-		c.engine.OnFetch(c.now, blk, src)
-		if src == uncore.SrcLLC || src == uncore.SrcMemory {
-			c.engine.OnDemandMiss(c.now, blk)
-		}
-		if r > ready {
-			ready = r
-		}
-	}
-	hc.headIssued = true
-	hc.headReadyAt = ready
-}
-
-// fetchMC shares the fetch engine across contexts: once past the
-// bandwidth boundary it first issues every unissued FTQ head (demand
-// probes overlap across contexts — fetch-under-fill), then dispatches
-// for the first context, round-robin from the last one served, whose
-// head has arrived and fits the ROB. At most one context dispatches per
-// bandwidth slot; a cycle where the only eligible heads are waiting on
-// fills is a fetch stall.
-func (c *Core) fetchMC() {
-	if c.now < c.fetchBusyUntil {
-		return
-	}
-	for _, hc := range c.ctxs {
-		if hc.ftqLen > 0 && !hc.headIssued {
-			c.issueHead(hc)
-		}
-	}
-	for j := 0; j < len(c.ctxs); j++ {
-		k := (c.fetCtx + j) % len(c.ctxs)
-		hc := c.ctxs[k]
-		if hc.ftqLen == 0 || hc.headReadyAt > c.now {
-			continue
-		}
-		p := &hc.pending[0]
-		if c.robFree() < p.bb.NumInstr {
-			continue // backend pressure
-		}
-		c.dispatch(p.bb, hc.dataRNG, hc.dataZipf)
-		busy := uint64((p.bb.NumInstr + c.cfg.FetchWidth - 1) / c.cfg.FetchWidth)
-		c.fetchBusyUntil = c.now + busy
-		switch {
-		case p.decodeRedirect:
-			c.stats.DecodeRedirects++
-			c.redirectCtx(hc, c.cfg.DecodeRedirectCycles)
-		case p.execRedirect:
-			c.stats.ExecRedirects++
-			c.redirectCtx(hc, c.cfg.ExecRedirectCycles)
-		}
-		hc.popPending(&c.cfg)
-		c.fetCtx = k
-		return
-	}
-	// No context could dispatch; charge one fill-wait cycle iff some
-	// context is actually waiting on an issued fetch.
-	for _, hc := range c.ctxs {
-		if hc.ftqLen > 0 && hc.headIssued && hc.headReadyAt > c.now {
-			c.stats.FetchStallCycles++
-			return
-		}
-	}
-}
-
-// redirectCtx is redirect for one context of a multi-context front-end:
-// the bubble occupies the shared fetch engine, the flush is local to the
-// re-steered context.
-func (c *Core) redirectCtx(hc *hwContext, penalty int) {
-	until := c.now + uint64(penalty)
-	if until > c.fetchBusyUntil {
-		c.fetchBusyUntil = until
-	}
-	hc.ftqLen = 1 // keep only the block being dispatched
-	if hc.runStallUntil > c.now {
-		hc.runStallUntil = c.now
-	}
-	hc.wrongPath = false
-}
-
-// nextEventMC mirrors NextEvent over the context set: each per-context
-// gating condition contributes a deadline, shared fetch bandwidth and
-// retire contribute theirs, and any condition that lets this very cycle
-// do work returns Now immediately.
-func (c *Core) nextEventMC() uint64 {
-	next := c.hier.NextArrival()
-
-	for _, hc := range c.ctxs {
-		if !hc.wrongPath && hc.ftqLen < c.cfg.FTQEntries {
-			if c.now >= hc.runStallUntil {
-				return c.now
-			}
-			if hc.runStallUntil < next {
-				next = hc.runStallUntil
-			}
-		}
-	}
-
-	anyFTQ := false
-	for _, hc := range c.ctxs {
-		if hc.ftqLen > 0 {
-			anyFTQ = true
-			break
-		}
-	}
-	if anyFTQ {
-		if c.now < c.fetchBusyUntil {
-			if c.fetchBusyUntil < next {
-				next = c.fetchBusyUntil
-			}
-		} else {
-			for _, hc := range c.ctxs {
-				if hc.ftqLen == 0 {
-					continue
-				}
-				switch {
-				case !hc.headIssued:
-					return c.now
-				case hc.headReadyAt > c.now:
-					if hc.headReadyAt < next {
-						next = hc.headReadyAt
-					}
-				case c.robFree() >= hc.pending[0].bb.NumInstr:
-					return c.now
-					// Otherwise this head waits on backend pressure; only
-					// the retire deadline below can relieve it.
-				}
-			}
-		}
-	}
-
-	if c.robLen > 0 && c.rob[c.robHead] < next {
-		next = c.rob[c.robHead]
-	}
-	if next < c.now {
-		return c.now
-	}
-	return next
-}
-
-// advanceIdleMC bulk-applies k idle cycles in multi-context mode. The
-// stall predicates are constant across the span for the same reason as
-// AdvanceIdle's: every cycle that could flip one is a deadline
-// nextEventMC includes.
-func (c *Core) advanceIdleMC(k uint64) {
-	if c.now >= c.fetchBusyUntil {
-		for _, hc := range c.ctxs {
-			if hc.ftqLen > 0 && hc.headIssued && hc.headReadyAt > c.now {
-				c.stats.FetchStallCycles += k
-				break
-			}
-		}
-	}
-	if c.robLen == 0 {
-		c.stats.FrontEndStallCycles += k
-	} else {
-		c.stats.BackEndStallCycles += k
-	}
-	c.now += k
-	c.stats.Cycles += k
 }

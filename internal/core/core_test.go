@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"shotgun/internal/isa"
@@ -12,10 +13,19 @@ import (
 	"shotgun/internal/workload"
 )
 
-func testSetup(t testing.TB, mech string) (*Core, *uncore.Hierarchy) {
+// contextCounts are the front-end widths the core's timing contracts are
+// held to: the single-context core and two shared front-ends.
+var contextCounts = []int{1, 2, 4}
+
+// testSetup builds a core with the given number of hardware contexts,
+// each walking the same program from its own seed.
+func testSetup(t testing.TB, mech string, contexts int) (*Core, *uncore.Hierarchy) {
 	t.Helper()
 	prog := program.MustGenerate(program.GenParams{NumAppFuncs: 100, NumKernelFuncs: 24}, 11)
-	walker := workload.NewWalker(prog, 3)
+	streams := make([]workload.Stream, contexts)
+	for k := range streams {
+		streams[k] = workload.NewWalker(prog, 3+uint64(k))
+	}
 	cfg := uncore.DefaultConfig()
 	cfg.Mesh = noc.Config{Rows: 4, Cols: 4, HopCycles: 3, SlotsPerCycle: 2}
 	hier := uncore.New(cfg)
@@ -31,11 +41,11 @@ func testSetup(t testing.TB, mech string) (*Core, *uncore.Hierarchy) {
 	default:
 		t.Fatalf("unknown mech %s", mech)
 	}
-	return New(Config{LoadFrac: 0.2, DataBlocks: 1 << 10, DataZipfS: 0.8}, walker, engine, hier), hier
+	return NewMultiContext(Config{LoadFrac: 0.2, DataBlocks: 1 << 10, DataZipfS: 0.8}, streams, engine, hier), hier
 }
 
 func TestRunRetiresInstructions(t *testing.T) {
-	c, _ := testSetup(t, "none")
+	c, _ := testSetup(t, "none", 1)
 	cycles := c.Run(100_000)
 	if cycles == 0 {
 		t.Fatal("no cycles elapsed")
@@ -51,7 +61,7 @@ func TestRunRetiresInstructions(t *testing.T) {
 }
 
 func TestStallClassificationExhaustive(t *testing.T) {
-	c, _ := testSetup(t, "none")
+	c, _ := testSetup(t, "none", 1)
 	c.Run(50_000)
 	s := c.Stats()
 	// Every cycle either retires something or is classified as a stall.
@@ -68,8 +78,8 @@ func TestStallClassificationExhaustive(t *testing.T) {
 }
 
 func TestIdealBeatsBaseline(t *testing.T) {
-	base, _ := testSetup(t, "none")
-	ideal, _ := testSetup(t, "ideal")
+	base, _ := testSetup(t, "none", 1)
+	ideal, _ := testSetup(t, "ideal", 1)
 	base.Run(150_000)
 	ideal.Run(150_000)
 	if ideal.Stats().IPC() <= base.Stats().IPC() {
@@ -86,7 +96,7 @@ func TestIdealBeatsBaseline(t *testing.T) {
 }
 
 func TestMispredictsCharged(t *testing.T) {
-	c, _ := testSetup(t, "none")
+	c, _ := testSetup(t, "none", 1)
 	c.Run(200_000)
 	s := c.Stats()
 	if s.CondBranches == 0 || s.Branches == 0 {
@@ -106,7 +116,7 @@ func TestMispredictsCharged(t *testing.T) {
 }
 
 func TestResetStatsAtBoundary(t *testing.T) {
-	c, _ := testSetup(t, "none")
+	c, _ := testSetup(t, "none", 1)
 	c.Run(30_000)
 	c.ResetStats()
 	if s := c.Stats(); s.Cycles != 0 || s.Instructions != 0 {
@@ -120,8 +130,8 @@ func TestResetStatsAtBoundary(t *testing.T) {
 }
 
 func TestBoomerangReducesFrontEndStalls(t *testing.T) {
-	base, _ := testSetup(t, "none")
-	boom, _ := testSetup(t, "boomerang")
+	base, _ := testSetup(t, "none", 1)
+	boom, _ := testSetup(t, "boomerang", 1)
 	base.Run(200_000)
 	boom.Run(200_000)
 	bs := float64(base.Stats().FrontEndStallCycles) / float64(base.Stats().Instructions)
@@ -132,8 +142,8 @@ func TestBoomerangReducesFrontEndStalls(t *testing.T) {
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	a, _ := testSetup(t, "boomerang")
-	b, _ := testSetup(t, "boomerang")
+	a, _ := testSetup(t, "boomerang", 1)
+	b, _ := testSetup(t, "boomerang", 1)
 	a.Run(60_000)
 	b.Run(60_000)
 	if a.Stats() != b.Stats() {
@@ -189,7 +199,7 @@ func TestStraightLineCodeNoRedirects(t *testing.T) {
 }
 
 func BenchmarkCoreTick(b *testing.B) {
-	c, _ := testSetup(b, "boomerang")
+	c, _ := testSetup(b, "boomerang", 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Tick()
@@ -198,26 +208,30 @@ func BenchmarkCoreTick(b *testing.B) {
 
 // TestEventSkipMatchesPerCycle pins the core-level event contract: a
 // per-cycle tick loop and the event-skipping Run must land on identical
-// core and hierarchy stats. This is the single-core seed of the
-// scenario-level TestEventKernelMatchesLockstep.
+// core and hierarchy stats, at every context count. This is the
+// single-core seed of the scenario-level TestEventKernelMatchesLockstep.
 func TestEventSkipMatchesPerCycle(t *testing.T) {
-	for _, mech := range []string{"none", "boomerang", "ideal"} {
-		ref, refHier := testSetup(t, mech)
-		evt, evtHier := testSetup(t, mech)
+	for _, n := range contextCounts {
+		for _, mech := range []string{"none", "boomerang", "ideal"} {
+			t.Run(fmt.Sprintf("ctx%d/%s", n, mech), func(t *testing.T) {
+				ref, refHier := testSetup(t, mech, n)
+				evt, evtHier := testSetup(t, mech, n)
 
-		const target = 60_000
-		for ref.Instructions() < target {
-			ref.Tick()
-		}
-		evt.Run(target)
+				const target = 60_000
+				for ref.Instructions() < target {
+					ref.Tick()
+				}
+				evt.Run(target)
 
-		if ref.Stats() != evt.Stats() {
-			t.Fatalf("%s: event-skipping Run drifted from per-cycle ticking:\nper-cycle: %+v\nevent:     %+v",
-				mech, ref.Stats(), evt.Stats())
-		}
-		if refHier.Stats() != evtHier.Stats() {
-			t.Fatalf("%s: hierarchy stats drifted:\nper-cycle: %+v\nevent:     %+v",
-				mech, refHier.Stats(), evtHier.Stats())
+				if ref.Stats() != evt.Stats() {
+					t.Fatalf("event-skipping Run drifted from per-cycle ticking:\nper-cycle: %+v\nevent:     %+v",
+						ref.Stats(), evt.Stats())
+				}
+				if refHier.Stats() != evtHier.Stats() {
+					t.Fatalf("hierarchy stats drifted:\nper-cycle: %+v\nevent:     %+v",
+						refHier.Stats(), evtHier.Stats())
+				}
+			})
 		}
 	}
 }
@@ -227,7 +241,7 @@ func TestEventSkipMatchesPerCycle(t *testing.T) {
 // strictly fewer ticks than elapsed cycles (the difference is the idle
 // cycles bulk-accounted by AdvanceIdle).
 func TestNextEventSkipsIdleSpans(t *testing.T) {
-	c, _ := testSetup(t, "none")
+	c, _ := testSetup(t, "none", 1)
 	ticks := uint64(0)
 	for c.Instructions() < 50_000 {
 		c.Tick()
@@ -244,40 +258,71 @@ func TestNextEventSkipsIdleSpans(t *testing.T) {
 		100*float64(s.Cycles-ticks)/float64(s.Cycles))
 }
 
-// TestNextEventNeverLate asserts the deadline contract directly: from
-// any reachable state, every cycle strictly before NextEvent is idle —
-// ticking it changes nothing but the stall counters and the clock, and
-// leaves the hierarchy untouched.
+// TestNextEventNeverLate asserts the deadline contract directly, at
+// every context count: from any reachable state, every cycle strictly
+// before NextEvent is idle — ticking it changes nothing but the stall
+// counters and the clock, and leaves the hierarchy untouched.
 func TestNextEventNeverLate(t *testing.T) {
-	c, hier := testSetup(t, "boomerang")
-	for i := 0; i < 20_000; i++ {
-		next := c.NextEvent()
-		if next < c.Now() {
-			t.Fatalf("NextEvent %d is in the past (now %d)", next, c.Now())
-		}
-		if next > c.Now() {
-			// The span must be idle: tick one of its cycles and check
-			// only the idle-accounting fields moved.
-			before, hierBefore := c.Stats(), hier.Stats()
-			instr := before.Instructions
-			c.Tick()
-			after, hierAfter := c.Stats(), hier.Stats()
-			if hierBefore != hierAfter {
-				t.Fatalf("cycle %d: hierarchy mutated inside idle span ending %d", c.Now()-1, next)
+	for _, n := range contextCounts {
+		t.Run(fmt.Sprintf("ctx%d", n), func(t *testing.T) {
+			c, hier := testSetup(t, "boomerang", n)
+			idle := 0
+			for i := 0; i < 20_000; i++ {
+				next := c.NextEvent()
+				if next < c.Now() {
+					t.Fatalf("NextEvent %d is in the past (now %d)", next, c.Now())
+				}
+				if next == c.Now() {
+					c.Tick()
+					continue
+				}
+				// The span must be idle: tick one of its cycles and check
+				// only the idle-accounting fields moved.
+				idle++
+				before, hierBefore := c.Stats(), hier.Stats()
+				c.Tick()
+				after, hierAfter := c.Stats(), hier.Stats()
+				if hierBefore != hierAfter {
+					t.Fatalf("cycle %d: hierarchy mutated inside idle span ending %d", c.Now()-1, next)
+				}
+				before.Cycles = after.Cycles
+				before.FetchStallCycles = after.FetchStallCycles
+				before.FrontEndStallCycles = after.FrontEndStallCycles
+				before.BackEndStallCycles = after.BackEndStallCycles
+				if before != after {
+					t.Fatalf("cycle %d: non-idle mutation inside idle span ending %d:\nbefore: %+v\nafter:  %+v",
+						c.Now()-1, next, before, after)
+				}
 			}
-			if after.Instructions != instr {
-				t.Fatalf("cycle %d: instructions retired inside idle span ending %d", c.Now()-1, next)
+			if idle == 0 {
+				t.Fatal("no idle span reached; the contract went unexercised")
 			}
-			before.Cycles = after.Cycles
-			before.FetchStallCycles = after.FetchStallCycles
-			before.FrontEndStallCycles = after.FrontEndStallCycles
-			before.BackEndStallCycles = after.BackEndStallCycles
-			if before != after {
-				t.Fatalf("cycle %d: non-idle mutation inside idle span ending %d:\nbefore: %+v\nafter:  %+v",
-					c.Now()-1, next, before, after)
-			}
-		} else {
-			c.Tick()
-		}
+		})
+	}
+}
+
+// TestFunctionalWarmingTakesNoTime pins the sampling primitives: draining
+// the front-end (BeginWarm), functional warming (WarmBlocks) and LLC
+// skimming (SkimBlocks) move the trace forward without simulated time or
+// measured events, and detailed execution resumes from the clean
+// front-end block for block.
+func TestFunctionalWarmingTakesNoTime(t *testing.T) {
+	c, _ := testSetup(t, "boomerang", 1)
+	if cycles := c.RunBlocks(2_000); cycles == 0 || c.BlocksDispatched() != 2_000 {
+		t.Fatalf("RunBlocks(2000): %d cycles, %d blocks", cycles, c.BlocksDispatched())
+	}
+	now, stats := c.Now(), c.Stats()
+	c.BeginWarm()
+	warm := c.WarmBlocks(5_000)
+	skim := c.SkimBlocks(5_000)
+	if warm == 0 || skim == 0 {
+		t.Fatalf("fast-forward carried no instructions: warm %d, skim %d", warm, skim)
+	}
+	if c.Now() != now || c.Stats() != stats {
+		t.Fatalf("warming took simulated time or counted events:\nbefore: %d %+v\nafter:  %d %+v",
+			now, stats, c.Now(), c.Stats())
+	}
+	if cycles := c.RunBlocks(500); cycles == 0 || c.BlocksDispatched() != 2_500 {
+		t.Fatalf("RunBlocks(500) after warming: %d cycles, %d blocks", cycles, c.BlocksDispatched())
 	}
 }

@@ -3,7 +3,8 @@
 // stalled on L1-I/LLC fills — the common case the paper studies. This
 // kernel advances a shared clock straight to the next pending event and
 // ticks only the cores that are active in that cycle, which is what
-// makes 64–256-core interference sweeps tractable.
+// makes 64–256-core interference sweeps tractable. Every exact
+// simulation runs here, the single-core Run and RunStream included.
 //
 // Bit-identity with the lockstep engine is the design invariant, not an
 // approximation target:
@@ -34,14 +35,9 @@
 
 package sim
 
-// runEvent executes a normalized scenario on the event kernel. It is a
-// drop-in replacement for runLockstep with identical results.
-func runEvent(sc Scenario) (ScenarioResult, error) {
-	states, err := buildStates(sc)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-
+// runEvent runs built scenario states to completion on the event kernel,
+// returning the canonical-order result.
+func runEvent(states []*coreState) ScenarioResult {
 	// next[i] caches core i's pending-event deadline; a core is ticked
 	// only in the cycle its deadline names. Like the lockstep loop,
 	// finished cores keep running — their traffic is real — until the
@@ -85,5 +81,5 @@ func runEvent(sc Scenario) (ScenarioResult, error) {
 			next[i] = c.NextEvent()
 		}
 	}
-	return results(states), nil
+	return results(states)
 }

@@ -6,6 +6,7 @@ import (
 
 	"shotgun/internal/footprint"
 	"shotgun/internal/prefetch"
+	"shotgun/internal/workload"
 )
 
 // evtCfg keeps the engine-equality matrix fast while still crossing
@@ -17,7 +18,18 @@ func evtCfg(wl string, m Mechanism) Config {
 	}
 }
 
-// TestEventKernelMatchesLockstep is the tentpole keystone: the
+// eventEngine runs a normalized exact scenario on the event kernel: the
+// production path of RunScenario without validation or reordering, in
+// the same signature as the runLockstep reference.
+func eventEngine(sc Scenario) (ScenarioResult, error) {
+	states, err := buildStates(sc, nil)
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	return runEvent(states), nil
+}
+
+// TestEventKernelMatchesLockstep is the engine keystone: the
 // event-driven kernel must reproduce the lockstep engine bit for bit —
 // same stall counters, same hierarchy stats, same derived metrics — at
 // every core count and for every mechanism. Any divergence means a
@@ -80,10 +92,12 @@ func TestEventKernelMatchesLockstep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := runEvent(norm)
+			got, err := eventEngine(norm)
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkScenarioInvariants(t, norm, want)
+			checkScenarioInvariants(t, norm, got)
 			if len(got.Cores) != len(want.Cores) {
 				t.Fatalf("core count drifted: event %d, lockstep %d", len(got.Cores), len(want.Cores))
 			}
@@ -95,6 +109,84 @@ func TestEventKernelMatchesLockstep(t *testing.T) {
 			}
 		})
 	}
+}
+
+// picks reads fuzz input as a sequence of bounded choices. An exhausted
+// input reads as zeros, so every byte string decodes to a scenario.
+type picks []byte
+
+func (p *picks) next(n int) int {
+	if len(*p) == 0 {
+		return 0
+	}
+	b := (*p)[0]
+	*p = (*p)[1:]
+	return int(b) % n
+}
+
+// fuzzScenario decodes a small random scenario: 1-4 cores, each with any
+// workload and mechanism, either direction predictor, 1-4 hardware
+// contexts and a short warm-up/skip/measure schedule of 1-3 windows,
+// over the default shared LLC or an explicit size from 64KB to 8MB.
+func fuzzScenario(data []byte) Scenario {
+	p := picks(data)
+	mechs, wls := Mechanisms(), workload.Names()
+	var sc Scenario
+	for i, n := 0, 1+p.next(4); i < n; i++ {
+		cfg := Config{
+			Workload:     wls[p.next(len(wls))],
+			Mechanism:    mechs[p.next(len(mechs))],
+			Contexts:     1 + p.next(4),
+			WarmupInstr:  uint64(1+p.next(16)) * 1_000,
+			MeasureInstr: uint64(1+p.next(16)) * 1_000,
+			Samples:      1 + p.next(3),
+			SkipInstr:    uint64(1+p.next(8)) * 500,
+		}
+		if p.next(2) == 1 {
+			cfg.BPU = BPUCLZ
+		}
+		sc.Cores = append(sc.Cores, cfg)
+	}
+	if k := p.next(129); k > 0 {
+		sc.LLCSizeBytes = k * 64 << 10
+	}
+	return sc
+}
+
+// FuzzScenarioKernels extends the fixed engine-equality matrix to random
+// scenario shapes: every decoded scenario must run bit-equal on the
+// event kernel and the lockstep reference, and every result must hold
+// the shared invariants.
+func FuzzScenarioKernels(f *testing.F) {
+	f.Add([]byte{})
+	// 2 cores: shotgun on 4 contexts with CLZ-TAGE, confluence on 2
+	// contexts over 3 windows; a 512KB explicit LLC.
+	f.Add([]byte{1, 4, 6, 3, 2, 3, 0, 1, 0, 5, 1, 2, 7, 4, 2, 3, 8})
+	// 4 cores, every mechanism class mixed, default LLC.
+	f.Add([]byte{3, 0, 1, 1, 5, 5, 0, 0, 1, 2, 2, 0, 9, 9, 1, 1, 0, 3, 4, 3, 3, 3, 2, 2, 1, 4, 7, 2, 1, 1, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := fuzzScenario(data)
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("decoded scenario is invalid: %v", err)
+		}
+		norm := sc.Normalized()
+		want, err := runLockstep(norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eventEngine(norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkScenarioInvariants(t, norm, want)
+		checkScenarioInvariants(t, norm, got)
+		for c := range want.Cores {
+			if got.Cores[c] != want.Cores[c] {
+				t.Fatalf("scenario %s: core %d drifted from lockstep:\nevent:    %+v\nlockstep: %+v",
+					norm.CanonicalBytes(), c, got.Cores[c], want.Cores[c])
+			}
+		}
+	})
 }
 
 // TestEventKernel64CoreSmoke proves the scale unlock: a 64-core
@@ -173,4 +265,4 @@ func benchEngine(b *testing.B, run func(Scenario) (ScenarioResult, error)) {
 }
 
 func BenchmarkEngineLockstep8Core(b *testing.B) { benchEngine(b, runLockstep) }
-func BenchmarkEngineEvent8Core(b *testing.B)    { benchEngine(b, runEvent) }
+func BenchmarkEngineEvent8Core(b *testing.B)    { benchEngine(b, eventEngine) }

@@ -1,9 +1,8 @@
 // Metamorphic properties of the simulation engine: relations that must
 // hold between *pairs* of runs, independent of any golden value. They
-// pin the scenario layer's algebra — permutation equivariance, bit-
-// exact determinism, and the N=1 identity — so a change that keeps
-// every golden table intact but breaks the layer's contracts still
-// fails loudly.
+// pin the scenario layer's algebra — permutation equivariance and bit-
+// exact determinism — so a change that keeps every golden table intact
+// but breaks the layer's contracts still fails loudly.
 package sim
 
 import (
@@ -45,21 +44,20 @@ func testPermutations(n int) [][]int {
 }
 
 // engines pins the metamorphic properties to each scenario engine by
-// name: RunScenario dispatches multi-core shapes to the event kernel,
-// but the properties must hold for the retained lockstep reference too
-// — a contract break in either engine fails here even if the other
-// masks it at the dispatch layer.
+// name: RunScenario runs every exact scenario on the event kernel, but
+// the properties must hold for the retained lockstep reference too — a
+// contract break in either engine fails here even if the other masks it.
 var engines = []struct {
 	name string
 	run  func(Scenario) (ScenarioResult, error)
 }{
 	{"lockstep", runLockstep},
-	{"event", runEvent},
+	{"event", eventEngine},
 }
 
 // runWith executes a scenario through the full RunScenario pipeline —
 // normalization, canonical-order execution, reorder — pinned to one
-// engine.
+// engine, and holds every result to the shared invariants.
 func runWith(t *testing.T, run func(Scenario) (ScenarioResult, error), sc Scenario) ScenarioResult {
 	t.Helper()
 	norm, perm := sc.NormalizedPerm()
@@ -67,7 +65,9 @@ func runWith(t *testing.T, run func(Scenario) (ScenarioResult, error), sc Scenar
 	if err != nil {
 		t.Fatal(err)
 	}
-	return canon.Reorder(perm)
+	res := canon.Reorder(perm)
+	checkScenarioInvariants(t, sc, res)
+	return res
 }
 
 // TestPermutationEquivariance: permuting a scenario's per-core configs
@@ -114,8 +114,11 @@ func TestPermutationEquivariance(t *testing.T) {
 func TestPermutationEquivarianceWithDuplicates(t *testing.T) {
 	a := metaCfg("Nutch", Shotgun)
 	b := metaCfg("Nutch", FDIP)
-	ref := MustRunScenario(Scenario{Cores: []Config{a, a, b}})
-	got := MustRunScenario(Scenario{Cores: []Config{a, b, a}})
+	refSc := Scenario{Cores: []Config{a, a, b}}
+	gotSc := Scenario{Cores: []Config{a, b, a}}
+	ref, got := MustRunScenario(refSc), MustRunScenario(gotSc)
+	checkScenarioInvariants(t, refSc, ref)
+	checkScenarioInvariants(t, gotSc, got)
 	// Caller order [a,b,a]: first a ↔ ref core 0, b ↔ ref core 2,
 	// second a ↔ ref core 1.
 	for i, want := range []Result{ref.Cores[0], ref.Cores[2], ref.Cores[1]} {
@@ -196,19 +199,5 @@ func TestRerunBitIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSingleCoreScenarioEqualsRun: the N=1 scenario is sim.Run, bit for
-// bit, for every mechanism — the identity that let the scenario layer
-// land without regenerating a single golden table.
-func TestSingleCoreScenarioEqualsRun(t *testing.T) {
-	for _, m := range Mechanisms() {
-		cfg := metaCfg("Zeus", m)
-		want := MustRun(cfg)
-		got := MustRunScenario(SingleCore(cfg))
-		if len(got.Cores) != 1 || got.Cores[0] != want {
-			t.Fatalf("%s: N=1 scenario differs from Run:\n%+v\n%+v", m, got.Cores[0], want)
-		}
 	}
 }

@@ -170,7 +170,7 @@ func (s SampledSummary) TotalInstr() uint64 {
 // constructed core. The Result's raw counters aggregate the measured
 // units only (so IPC()/MPKI() read as usual), and Sampled carries the
 // per-unit statistics.
-func runSampled(cfg Config, c *core.Core, engine prefetch.Engine) (Result, error) {
+func runSampled(cfg Config, c *core.Core, engine prefetch.Engine) Result {
 	p := cfg.Sampling.params()
 	res := Result{Workload: cfg.Workload, Mechanism: cfg.Mechanism}
 	sum := &SampledSummary{}
@@ -217,5 +217,5 @@ func runSampled(cfg Config, c *core.Core, engine prefetch.Engine) (Result, error
 	sum.BTBMPKI = btbm.Estimate()
 	res.Sampled = sum
 	res.PrefetchAccuracy = prefetchAccuracy(res.Hier)
-	return res, nil
+	return res
 }

@@ -223,10 +223,10 @@ func (s Scenario) Validate() error {
 		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("sim: core %d: %w", i, err)
 		}
-		// Sampling is the single-core stream mode: the lockstep/event
-		// multi-core engines simulate every cycle of every core and have
-		// no functional-warming fast path, so a sampled config may only
-		// take the Run path (one core, default LLC share).
+		// Sampling is the single-core stream mode: the scenario kernels
+		// simulate every cycle of every core and have no functional-
+		// warming fast path, so a sampled config runs its schedule alone
+		// (one core, default LLC share).
 		if cfg.Sampling != nil {
 			if len(s.Cores) > 1 {
 				return fmt.Errorf("sim: core %d: sampling requires a single-core scenario (got %d cores)", i, len(s.Cores))
@@ -257,30 +257,31 @@ type ScenarioResult struct {
 	Cores []Result
 }
 
-// RunScenario executes one scenario to completion. The default
-// single-core scenario takes the exact serial path of Run — byte-
-// identical results by construction — while every other shape runs the
-// lockstep multi-core engine over one shared uncore. Execution happens
+// RunScenario executes one scenario to completion. Execution happens
 // in canonical core order (so permuted scenarios are literally one
 // simulation); the returned Cores are mapped back to the caller's
 // order, so result.Cores[i] always describes the caller's Cores[i].
 func RunScenario(sc Scenario) (ScenarioResult, error) {
+	return runScenario(sc, nil)
+}
+
+// runScenario is RunScenario with an optional core-0 stream (RunStream's
+// replayed trace) in place of that core's walker. Exact schedules run on
+// the event kernel; a sampled config, which Validate confines to a
+// single-core scenario, runs the sampling schedule on its built core.
+func runScenario(sc Scenario, stream workload.Stream) (ScenarioResult, error) {
 	if err := sc.Validate(); err != nil {
 		return ScenarioResult{}, err
 	}
 	norm, perm := sc.NormalizedPerm()
-	if len(norm.Cores) == 1 && norm.LLCSizeBytes == DefaultLLCBytes(1) {
-		res, err := Run(norm.Cores[0])
-		if err != nil {
-			return ScenarioResult{}, err
-		}
-		return ScenarioResult{Cores: []Result{res}}, nil
-	}
-	canon, err := runEvent(norm)
+	states, err := buildStates(norm, stream)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	return canon.Reorder(perm), nil
+	if cfg := norm.Cores[0]; cfg.Sampling != nil {
+		return ScenarioResult{Cores: []Result{runSampled(cfg, states[0].c, states[0].engine)}}, nil
+	}
+	return runEvent(states).Reorder(perm), nil
 }
 
 // Reorder maps a canonical-order result back to a caller's core order:
@@ -328,9 +329,9 @@ type phase struct {
 	measure bool // accumulate stats when the phase completes
 }
 
-// phasesOf expands a config's warmup/skip/measure schedule — the same
-// sequence Run executes — into explicit phases the lockstep loop can
-// walk per core.
+// phasesOf expands a config's exact warmup/skip/measure schedule —
+// Samples measurement windows separated by unmeasured gaps — into
+// explicit phases the scenario kernels walk per core.
 func phasesOf(cfg Config) []phase {
 	ph := []phase{{n: cfg.WarmupInstr}}
 	perWindow := cfg.MeasureInstr / uint64(cfg.Samples)
@@ -343,7 +344,7 @@ func phasesOf(cfg Config) []phase {
 	return ph
 }
 
-// coreState tracks one core through the lockstep loop.
+// coreState tracks one core through a scenario kernel.
 type coreState struct {
 	c      *core.Core
 	engine prefetch.Engine
@@ -384,11 +385,13 @@ func (cs *coreState) step() {
 }
 
 // buildStates constructs the shared uncore and the per-core states of a
-// normalized scenario: the common front half of the lockstep and event
-// engines. Both engines must run over bit-identical initial state —
-// same mesh config, same attach order, same salted seeds — for the
-// equality keystone (TestEventKernelMatchesLockstep) to be meaningful.
-func buildStates(sc Scenario) ([]*coreState, error) {
+// normalized scenario: the common front half of every execution path.
+// The event kernel and its lockstep reference must run over
+// bit-identical initial state — same mesh config, same attach order,
+// same salted seeds — for the equality keystone
+// (TestEventKernelMatchesLockstep) to be meaningful. A non-nil stream
+// replaces core 0's context-0 walker (RunStream's replayed trace).
+func buildStates(sc Scenario, stream workload.Stream) ([]*coreState, error) {
 	ucfg := uncore.DefaultConfig()
 	ucfg.LLCSizeBytes = sc.LLCSizeBytes
 	ucfg.Mesh = noc.SharedConfig(len(sc.Cores))
@@ -432,6 +435,9 @@ func buildStates(sc Scenario) ([]*coreState, error) {
 		for k := range streams {
 			streams[k] = workload.NewWalkerConfig(prof.Program(), prof.WalkSeed^salt^contextSalt(k), prof.Walk)
 		}
+		if i == 0 && stream != nil {
+			streams[0] = stream
+		}
 		cs := &coreState{
 			c:      core.NewMultiContext(ccfg, streams, engine, hier),
 			engine: engine,
@@ -461,12 +467,12 @@ func results(states []*coreState) ScenarioResult {
 // schedule keeps ticking — still generating real traffic — until every
 // core has finished measuring, but its extra work is never accumulated.
 //
-// This is the reference engine: RunScenario dispatches multi-core
-// shapes to the event-driven kernel in event.go, and
-// TestEventKernelMatchesLockstep pins the two executions to bit-equal
-// results. Keep both engines' semantics in sync.
+// This is the reference engine: every exact simulation runs on the
+// event-driven kernel in event.go, and TestEventKernelMatchesLockstep
+// pins the two executions to bit-equal results. Keep both engines'
+// semantics in sync.
 func runLockstep(sc Scenario) (ScenarioResult, error) {
-	states, err := buildStates(sc)
+	states, err := buildStates(sc, nil)
 	if err != nil {
 		return ScenarioResult{}, err
 	}

@@ -15,33 +15,24 @@ func tinyCfg(wl string, m Mechanism) Config {
 	}
 }
 
-// TestLockstepMatchesSerialSingleCore is the refactor's keystone: the
-// lockstep multi-core engine, driven with exactly one core and the
-// default shared uncore, must reproduce the classic serial simulation
-// bit for bit. RunScenario routes the default N=1 shape down the serial
-// path, so this test calls the lockstep engine directly — any drift
-// between the two engines fails here, not in a golden diff.
-func TestLockstepMatchesSerialSingleCore(t *testing.T) {
-	for _, m := range []Mechanism{None, Shotgun, Confluence} {
+// TestLockstepMatchesRunSingleCore holds the lockstep reference against
+// the production single-core path: Run, which executes the N=1 scenario
+// on the event kernel, must equal the lockstep engine driven with
+// exactly one core and the default shared uncore, bit for bit, for
+// every mechanism.
+func TestLockstepMatchesRunSingleCore(t *testing.T) {
+	for _, m := range Mechanisms() {
 		cfg := tinyCfg("Nutch", m)
 		want := MustRun(cfg)
+		checkInvariants(t, cfg, want)
 		got, err := runLockstep(SingleCore(cfg).Normalized())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got.Cores) != 1 || got.Cores[0] != want {
-			t.Fatalf("%s: lockstep single-core drifted from serial:\nlockstep: %+v\nserial:   %+v",
+			t.Fatalf("%s: lockstep single-core drifted from Run:\nlockstep: %+v\nRun:      %+v",
 				m, got.Cores[0], want)
 		}
-	}
-}
-
-func TestRunScenarioSingleCoreEqualsRun(t *testing.T) {
-	cfg := tinyCfg("Zeus", Shotgun)
-	want := MustRun(cfg)
-	got := MustRunScenario(SingleCore(cfg))
-	if len(got.Cores) != 1 || got.Cores[0] != want {
-		t.Fatalf("N=1 scenario differs from Run:\n%+v\n%+v", got.Cores[0], want)
 	}
 }
 
