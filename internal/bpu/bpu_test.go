@@ -214,3 +214,70 @@ func BenchmarkTAGEPredictUpdate(b *testing.B) {
 		p.Update(pc, taken)
 	}
 }
+
+// branchStream drives a predictor over n random branches at a few PCs
+// with mixed biases, interleaved with unconditional history updates, and
+// returns its predictions.
+func branchStream(p *TAGE, rng *xrand.Source, n int) []bool {
+	preds := make([]bool, n)
+	for i := range preds {
+		pc := isa.Addr(0x4000 + 4*rng.Intn(64))
+		preds[i] = p.Predict(pc)
+		p.Update(pc, rng.Bool(0.3+0.4*float64(pc%3)/2))
+		if rng.Bool(0.2) {
+			p.NoteUncond()
+		}
+	}
+	return preds
+}
+
+// TestTAGECopyFrom pins the predictor-state snapshot: a copy predicts
+// exactly as its source from there on, for either variant, while
+// keeping its own stats counters.
+func TestTAGECopyFrom(t *testing.T) {
+	for _, mk := range []func() *TAGE{NewTAGE, NewCLZTAGE} {
+		src := mk()
+		branchStream(src, xrand.New(1), 5000)
+		dst := NewTAGE()
+		dst.Lookups, dst.Mispredicts = 7, 3
+		dst.CopyFrom(src)
+		if dst.Lookups != 7 || dst.Mispredicts != 3 {
+			t.Fatalf("CopyFrom overwrote stats: %d lookups, %d mispredicts", dst.Lookups, dst.Mispredicts)
+		}
+		want := branchStream(src, xrand.New(2), 5000)
+		got := branchStream(dst, xrand.New(2), 5000)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("copy diverged from its source at branch %d", i)
+			}
+		}
+	}
+}
+
+// TestTAGEDecaysNext pins the decay point DecaysNext reports: the lookup
+// that brings Lookups to a multiple of the decay period halves every
+// useful counter, and no other does.
+func TestTAGEDecaysNext(t *testing.T) {
+	p := NewTAGE()
+	pc := isa.Addr(0x1000)
+	// An entry the branch's own allocation path never indexes.
+	u := &p.tables[0].use[(p.index(0, pc)+1)%len(p.tables[0].use)]
+	*u = 2
+	p.Lookups = resetEvery - 2
+	if p.DecaysNext() {
+		t.Fatal("DecaysNext reported a decay one lookup early")
+	}
+	p.Predict(pc)
+	p.Update(pc, true)
+	if *u != 2 {
+		t.Fatal("useful counters aged before the decay point")
+	}
+	if !p.DecaysNext() {
+		t.Fatal("DecaysNext missed the decay point")
+	}
+	p.Predict(pc)
+	p.Update(pc, true)
+	if *u != 1 {
+		t.Fatalf("useful counter %d after the decay point, want 1", *u)
+	}
+}

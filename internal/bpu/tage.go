@@ -262,6 +262,28 @@ func (t *TAGE) NoteUncond() {
 	t.foldsValid = false
 }
 
+// DecaysNext reports whether the next Predict/Update pair ages every
+// useful counter. Decay is paced by Lookups, which ResetStats clears, so
+// it is the one point where predictions depend on when stats were last
+// reset and not on the branch stream alone.
+func (t *TAGE) DecaysNext() bool { return (t.Lookups+1)%resetEvery == 0 }
+
+// CopyFrom makes t predict exactly as src would from here on: tables,
+// global history and variant. t keeps its own Lookups and Mispredicts.
+func (t *TAGE) CopyFrom(src *TAGE) {
+	copy(t.base, src.base)
+	for i := range t.tables {
+		copy(t.tables[i].tags, src.tables[i].tags)
+		copy(t.tables[i].ctr, src.tables[i].ctr)
+		copy(t.tables[i].use, src.tables[i].use)
+	}
+	t.ghist = src.ghist
+	t.clz = src.clz
+	t.foldsValid = src.foldsValid
+	t.foldIdx = src.foldIdx
+	t.foldTag = src.foldTag
+}
+
 // MispredictRate returns the fraction of Update calls that disagreed with
 // the prediction.
 func (t *TAGE) MispredictRate() float64 {

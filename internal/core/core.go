@@ -20,7 +20,6 @@ import (
 	"shotgun/internal/prefetch"
 	"shotgun/internal/uncore"
 	"shotgun/internal/workload"
-	"shotgun/internal/xrand"
 )
 
 // Config sets the core's microarchitectural parameters. Zero fields
@@ -162,13 +161,9 @@ type Core struct {
 
 	tage *bpu.TAGE
 
-	// loadDraw is the LoadFrac Bernoulli with its threshold precomputed;
-	// it consumes the same draws as a Bool(LoadFrac) on the context's
-	// data RNG so results are unchanged.
-	loadDraw xrand.Bernoulli
-	// loadSched is dispatch's reusable per-block load schedule: the data
-	// addresses the block's instructions access, drawn in one pass.
-	loadSched []isa.Addr
+	// ranks is the live data side's reusable per-block buffer of load
+	// ranks (dataGen.draw).
+	ranks []uint16
 
 	now uint64
 
@@ -201,16 +196,22 @@ type Core struct {
 // siblings, which is exactly where the SMT pressure of a multi-context
 // core comes from.
 type hwContext struct {
+	// A live context walks trace and draws its data side from data; a
+	// replaying one (tape != nil) reads both from a Tape instead.
 	trace workload.Stream
+	data  dataGen
+	tape  *tapeReader
 	ras   *bpu.RAS
 
-	dataRNG  *xrand.Source
-	dataZipf *xrand.Zipf
-
-	// pending is the lookahead window; pending[0:ftqLen] is the FTQ
-	// (evaluated, awaiting fetch); pending[ftqLen:] awaits evaluation.
-	pending []pblock
-	ftqLen  int
+	// win is the lookahead window, a ring allocated once: the n entries
+	// from head are pending blocks in trace order, the first ftqLen of
+	// them the FTQ (evaluated, awaiting fetch) and the rest awaiting
+	// evaluation. The runahead only tops the window up to ftqLen+1 with
+	// ftqLen below FTQEntries, so n never exceeds FTQEntries.
+	win    []pblock
+	head   int
+	n      int
+	ftqLen int
 
 	runStallUntil uint64
 	// wrongPath is set when the runahead evaluated a block whose branch
@@ -224,24 +225,33 @@ type hwContext struct {
 	headReadyAt uint64
 }
 
+// pending returns the context's i-th pending block (0 is the FTQ head).
+func (hc *hwContext) pending(i int) *pblock {
+	return &hc.win[(hc.head+i)&(len(hc.win)-1)]
+}
+
+// nextBlock pulls the context's next trace block.
+func (hc *hwContext) nextBlock() isa.BasicBlock {
+	if hc.tape != nil {
+		return hc.tape.next()
+	}
+	return hc.trace.Next()
+}
+
 // ensurePending tops up the context's lookahead window from its trace.
 func (hc *hwContext) ensurePending(n int) {
-	for len(hc.pending) < n {
-		hc.pending = append(hc.pending, pblock{bb: hc.trace.Next()})
+	for hc.n < n {
+		*hc.pending(hc.n) = pblock{bb: hc.nextBlock()}
+		hc.n++
 	}
 }
 
-// popPending removes the context's pending[0] after dispatch.
-func (hc *hwContext) popPending(cfg *Config) {
-	hc.pending = hc.pending[1:]
+// popPending removes the context's FTQ head after dispatch.
+func (hc *hwContext) popPending() {
+	hc.head = (hc.head + 1) & (len(hc.win) - 1)
+	hc.n--
 	hc.ftqLen--
 	hc.headIssued = false
-	// Periodically compact the backing array.
-	if cap(hc.pending) > 4*(cfg.FTQEntries+8) && len(hc.pending) <= cfg.FTQEntries+8 {
-		fresh := make([]pblock, len(hc.pending), cfg.FTQEntries+8)
-		copy(fresh, hc.pending)
-		hc.pending = fresh
-	}
 }
 
 // fillWaiting reports whether the context's FTQ head is an issued fetch
@@ -268,36 +278,65 @@ func New(cfg Config, trace workload.Stream, engine prefetch.Engine, hier *uncore
 // context gets its own RAS, lookahead window and salted data-side RNG;
 // the fetch engine, prefetch engine/BTB, caches, direction predictor,
 // ROB and retire stage are shared. A single stream is the classic
-// single-context core.
+// single-context core. A nil stream marks a context that Replay feeds
+// from a tape before the first Tick.
 func NewMultiContext(cfg Config, streams []workload.Stream, engine prefetch.Engine, hier *uncore.Hierarchy) *Core {
 	if len(streams) == 0 {
 		panic("core: NewMultiContext needs at least one stream")
 	}
 	cfg.setDefaults()
+	checkDataBlocks(&cfg)
 	tage := bpu.NewTAGE()
 	if cfg.CLZTage {
 		tage = bpu.NewCLZTAGE()
 	}
 	c := &Core{
-		cfg:       cfg,
-		engine:    engine,
-		hier:      hier,
-		tage:      tage,
-		loadDraw:  xrand.NewBernoulli(cfg.LoadFrac),
-		loadSched: make([]isa.Addr, 0, isa.MaxBlockInstrs),
-		ctxs:      make([]hwContext, len(streams)),
-		rob:       make([]uint64, cfg.ROBEntries),
+		cfg:    cfg,
+		engine: engine,
+		hier:   hier,
+		tage:   tage,
+		ranks:  make([]uint16, 0, isa.MaxBlockInstrs),
+		ctxs:   make([]hwContext, len(streams)),
+		rob:    make([]uint64, cfg.ROBEntries),
+	}
+	window := 1
+	for window < cfg.FTQEntries {
+		window *= 2
 	}
 	for k, s := range streams {
-		rng := xrand.New(cfg.DataSeed ^ ctxDataSalt(k))
 		c.ctxs[k] = hwContext{
-			trace:    s,
-			ras:      bpu.NewRAS(cfg.RASEntries),
-			dataRNG:  rng,
-			dataZipf: xrand.NewZipf(rng, cfg.DataBlocks, cfg.DataZipfS),
+			trace: s,
+			ras:   bpu.NewRAS(cfg.RASEntries),
+			win:   make([]pblock, window),
+		}
+		if s != nil {
+			c.ctxs[k].data = newDataGen(&cfg, k)
 		}
 	}
 	return c
+}
+
+// checkDataBlocks enforces the data side's 15-bit Zipf ranks.
+func checkDataBlocks(cfg *Config) {
+	if cfg.DataBlocks > rankHit {
+		panic("core: DataBlocks exceeds the data side's 32768 ranks")
+	}
+}
+
+// Replay feeds context k from a tape recorded for it (NewTape with this
+// core's Config and k) in place of its live walk and data draws. A
+// non-nil dir, allowed only on a one-context core, also replays the
+// direction predictions; the predictor is then trained only where the
+// lane ends. Call it before the first Tick, for exact runs only:
+// functional warming and skimming read the live sources.
+func (c *Core) Replay(k int, t *Tape, dir *DirTape) {
+	if dir != nil && len(c.ctxs) != 1 {
+		panic("core: a predictor lane needs a one-context core")
+	}
+	r := &tapeReader{}
+	r.start(t)
+	r.dir = dir
+	c.ctxs[k].tape = r
 }
 
 // Now returns the current cycle.
@@ -377,16 +416,15 @@ func (c *Core) runUntil(progress *uint64, target uint64) uint64 {
 // Functional warming (BeginWarm, WarmBlock(s), SkimBlocks) acts on
 // context 0; sampled execution runs single-context cores only.
 func (c *Core) BeginWarm() {
-	hc := &c.ctxs[0]
-	for i := range hc.pending {
-		p := &hc.pending[i]
-		if p.evaluated {
+	hc := c.liveCtx0()
+	for i := 0; i < hc.n; i++ {
+		if p := hc.pending(i); p.evaluated {
 			c.warmCaches(p.bb)
 		} else {
 			c.WarmBlock(p.bb)
 		}
 	}
-	hc.pending = hc.pending[:0]
+	hc.n = 0
 	hc.ftqLen = 0
 	hc.headIssued = false
 	hc.wrongPath = false
@@ -404,7 +442,7 @@ func (c *Core) WarmBlock(bb isa.BasicBlock) {
 // WarmBlocks functionally executes the next n trace blocks, returning
 // the instructions they carry (the fast-forwarded instruction count).
 func (c *Core) WarmBlocks(n uint64) uint64 {
-	trace := c.ctxs[0].trace
+	trace := c.liveCtx0().trace
 	var instr uint64
 	for i := uint64(0); i < n; i++ {
 		bb := trace.Next()
@@ -422,7 +460,7 @@ func (c *Core) WarmBlocks(n uint64) uint64 {
 // instruction working set is too large to rebuild in any affordable
 // window, so it alone must track the stream continuously.
 func (c *Core) SkimBlocks(n uint64) uint64 {
-	trace := c.ctxs[0].trace
+	trace := c.liveCtx0().trace
 	var instr uint64
 	// Consecutive basic blocks mostly share one 64-byte cache block
 	// (~5.5 instructions per bb); touching it once per run of repeats
@@ -444,10 +482,20 @@ func (c *Core) SkimBlocks(n uint64) uint64 {
 	return instr
 }
 
+// liveCtx0 returns context 0 for functional warming, which only a live
+// context supports: skimming consumes blocks without data draws, so a
+// tape's lanes would fall out of step.
+func (c *Core) liveCtx0() *hwContext {
+	hc := &c.ctxs[0]
+	if hc.tape != nil {
+		panic("core: functional warming on a replayed context")
+	}
+	return hc
+}
+
 // warmBPU mirrors evaluate's exact predictor call sequence — RAS pop for
-// returns, TAGE Predict+Update for conditionals (Predict counts lookups,
-// which paces the use-bit decay), RAS push + ghist note for calls, ghist
-// notes for returns and jumps — so the direction predictor and RAS cross
+// returns, predictDir (Predict counts lookups, which paces the use-bit
+// decay), RAS push for calls — so the direction predictor and RAS cross
 // a warming gap in the same state a detailed run would leave them.
 func (c *Core) warmBPU(bb isa.BasicBlock) {
 	ras := c.ctxs[0].ras
@@ -455,17 +503,9 @@ func (c *Core) warmBPU(bb isa.BasicBlock) {
 		ras.Pop()
 	}
 	c.engine.Warm(bb)
-	switch {
-	case bb.Kind == isa.BranchCond:
-		c.tage.Predict(bb.BranchPC())
-		c.tage.Update(bb.BranchPC(), bb.Taken)
-	case bb.Kind.IsCallLike():
+	predictDir(c.tage, bb)
+	if bb.Kind.IsCallLike() {
 		ras.Push(bpu.RASEntry{ReturnAddr: bb.FallThrough(), CallBlock: bb.PC})
-		c.tage.NoteUncond()
-	case bb.Kind.IsReturn():
-		c.tage.NoteUncond()
-	case bb.Kind == isa.BranchJump:
-		c.tage.NoteUncond()
 	}
 }
 
@@ -475,15 +515,13 @@ func (c *Core) warmBPU(bb isa.BasicBlock) {
 // data RNG stream aligned across mode switches) with L1-D/LLC warming
 // for the loads, and the engine's retire-order training hook.
 func (c *Core) warmCaches(bb isa.BasicBlock) {
-	hc := &c.ctxs[0]
 	first, last := bb.BlockSpan()
 	for blk := first; blk <= last; blk += isa.BlockBytes {
 		c.hier.WarmFetch(blk)
 	}
-	for i := 0; i < bb.NumInstr; i++ {
-		if c.loadDraw.Draw(hc.dataRNG) {
-			c.hier.WarmData(dataBase + isa.Addr(hc.dataZipf.Next()*isa.BlockBytes))
-		}
+	_, ranks := c.ctxs[0].data.draw(bb.NumInstr, c.ranks[:0])
+	for _, r := range ranks {
+		c.hier.WarmData(dataAddr(r))
 	}
 	c.engine.OnRetire(bb)
 }
@@ -537,7 +575,7 @@ func (c *Core) NextEvent() uint64 {
 			if hc.headReadyAt < next {
 				next = hc.headReadyAt
 			}
-		case c.robFree() >= hc.pending[0].bb.NumInstr:
+		case c.robFree() >= hc.pending(0).bb.NumInstr:
 			return c.now
 			// Otherwise this head waits on backend pressure, which only
 			// the retire deadline below can relieve.
@@ -634,7 +672,7 @@ func (c *Core) runahead() {
 		}
 		c.runCtx = k
 		hc.ensurePending(hc.ftqLen + 1)
-		p := &hc.pending[hc.ftqLen]
+		p := hc.pending(hc.ftqLen)
 		if !p.evaluated {
 			if stall := c.evaluate(hc, p); stall > c.now {
 				hc.runStallUntil = stall
@@ -668,6 +706,7 @@ func (c *Core) evaluate(hc *hwContext, p *pblock) uint64 {
 	}
 
 	ev := c.engine.Evaluate(c.now, bb, rasCallBlock, rasOK)
+	pred := c.predict(hc, bb)
 
 	if bb.Kind != isa.BranchNone {
 		c.stats.Branches++
@@ -676,8 +715,6 @@ func (c *Core) evaluate(hc *hwContext, p *pblock) uint64 {
 	switch {
 	case bb.Kind == isa.BranchCond:
 		c.stats.CondBranches++
-		pred := c.tage.Predict(bb.BranchPC())
-		c.tage.Update(bb.BranchPC(), bb.Taken)
 		if ev.BTBHit && pred != bb.Taken {
 			p.execRedirect = true
 			c.stats.DirMispredicts++
@@ -690,7 +727,6 @@ func (c *Core) evaluate(hc *hwContext, p *pblock) uint64 {
 		}
 	case bb.Kind.IsCallLike():
 		hc.ras.Push(bpu.RASEntry{ReturnAddr: bb.FallThrough(), CallBlock: bb.PC})
-		c.tage.NoteUncond()
 	case bb.Kind.IsReturn():
 		if ev.BTBHit && rasWrong {
 			p.execRedirect = true
@@ -700,9 +736,6 @@ func (c *Core) evaluate(hc *hwContext, p *pblock) uint64 {
 				c.engine.OnMispredict(c.now, rasPredTarget)
 			}
 		}
-		c.tage.NoteUncond()
-	case bb.Kind == isa.BranchJump:
-		c.tage.NoteUncond()
 	}
 
 	if ev.DecodeRedirect {
@@ -711,11 +744,33 @@ func (c *Core) evaluate(hc *hwContext, p *pblock) uint64 {
 	return ev.StallUntil
 }
 
+// predict returns the direction prediction for a block being evaluated,
+// from the context's predictor lane while it lasts and from the shared
+// predictor otherwise. A replayed prediction still counts the lookup, so
+// the predictor's stats and its decay pacing stay those of a live run
+// when the lane ends and the predictor takes over from the lane's.
+func (c *Core) predict(hc *hwContext, bb isa.BasicBlock) bool {
+	if r := hc.tape; r != nil && r.dir != nil {
+		if pred, ok := r.predict(); ok {
+			if bb.Kind == isa.BranchCond {
+				c.tage.Lookups++
+				if pred != bb.Taken {
+					c.tage.Mispredicts++
+				}
+			}
+			return pred
+		}
+		c.tage.CopyFrom(r.dir.tage)
+		r.dir = nil
+	}
+	return predictDir(c.tage, bb)
+}
+
 // issueHead issues the demand fetch for a context's FTQ head, recording
 // when its last block arrives.
 func (c *Core) issueHead(hc *hwContext) {
 	ready := c.now
-	first, last := hc.pending[0].bb.BlockSpan()
+	first, last := hc.pending(0).bb.BlockSpan()
 	for blk := first; blk <= last; blk += isa.BlockBytes {
 		r, src := c.hier.FetchBlock(c.now, blk)
 		c.engine.OnFetch(c.now, blk, src)
@@ -758,7 +813,7 @@ func (c *Core) fetch() {
 		if hc.ftqLen == 0 || hc.headReadyAt > c.now {
 			continue
 		}
-		p := &hc.pending[0]
+		p := hc.pending(0)
 		if c.robFree() < p.bb.NumInstr {
 			continue // backend pressure
 		}
@@ -777,7 +832,7 @@ func (c *Core) fetch() {
 			c.stats.ExecRedirects++
 			c.redirect(hc, c.cfg.ExecRedirectCycles)
 		}
-		hc.popPending(&c.cfg)
+		hc.popPending()
 		c.fetCtx = k
 		return
 	}
@@ -813,32 +868,39 @@ func (c *Core) redirect(hc *hwContext, penalty int) {
 // dispatch enters a context's block into the ROB and notifies the engine
 // of the retire-order stream (dispatch order equals retire order).
 //
-// The data side runs off a per-block schedule: one pass draws which
-// instructions load and from where (the Bernoulli/Zipf draws on the
-// context's data RNG, in the same per-instruction order as ever, so the
-// random stream and therefore every result is unchanged), then the
-// hierarchy is charged and the ROB filled from the schedule. Non-load
-// instructions take the scheduling fast path: one RNG draw, no
-// hierarchy call.
+// The data side runs off a per-block schedule: which instructions load
+// and from which data block, drawn live (dataGen.draw, on the context's
+// data RNG in per-instruction order) or read from the context's tape.
+// Then the hierarchy is charged and the ROB filled in instruction order;
+// non-loads make no hierarchy call. A one-context core replaying a tape
+// also takes each load's L1-D outcome from it: no other stream shares
+// its L1-D, so the tape's replica predicts it exactly.
 func (c *Core) dispatch(hc *hwContext, bb isa.BasicBlock) {
-	execLat := uint64(c.cfg.ExecLatencyCycles)
-	rng, zipf := hc.dataRNG, hc.dataZipf
-	// Pass 1: the load schedule. A sentinel address marks non-loads so
-	// pass 2 preserves instruction order without a second draw.
-	sched := c.loadSched[:0]
-	for i := 0; i < bb.NumInstr; i++ {
-		if c.loadDraw.Draw(rng) {
-			sched = append(sched, dataBase+isa.Addr(zipf.Next()*isa.BlockBytes))
-		} else {
-			sched = append(sched, 0)
-		}
+	var mask uint32
+	var ranks []uint16
+	if hc.tape != nil {
+		mask, ranks = hc.tape.loads(bb.NumInstr)
+	} else {
+		mask, ranks = hc.data.draw(bb.NumInstr, c.ranks[:0])
+		c.ranks = ranks
 	}
-	c.loadSched = sched
-	// Pass 2: charge the hierarchy and fill the ROB.
-	for _, addr := range sched {
+	l1dKnown := hc.tape != nil && len(c.ctxs) == 1
+	execLat := uint64(c.cfg.ExecLatencyCycles)
+	for i := 0; i < bb.NumInstr; i++ {
 		complete := c.now + execLat
-		if addr != 0 {
-			ready, _ := c.hier.DataAccess(c.now, addr)
+		if mask&(1<<i) != 0 {
+			r := ranks[0]
+			ranks = ranks[1:]
+			var ready uint64
+			switch {
+			case !l1dKnown:
+				ready, _ = c.hier.DataAccess(c.now, dataAddr(r))
+			case r&rankHit != 0:
+				c.hier.DataHit()
+				ready = c.now
+			default:
+				ready = c.hier.DataMiss(c.now, dataAddr(r))
+			}
 			if ready+execLat > complete {
 				complete = ready + execLat
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"shotgun/internal/isa"
@@ -17,15 +18,30 @@ import (
 // held to: the single-context core and two shared front-ends.
 var contextCounts = []int{1, 2, 4}
 
+// testProg is the program every testSetup core walks.
+var testProg = sync.OnceValue(func() *program.Program {
+	return program.MustGenerate(program.GenParams{NumAppFuncs: 100, NumKernelFuncs: 24}, 11)
+})
+
+// testCfg is the core config of every testSetup core.
+var testCfg = Config{LoadFrac: 0.2, DataBlocks: 1 << 10, DataZipfS: 0.8}
+
 // testSetup builds a core with the given number of hardware contexts,
 // each walking the same program from its own seed.
 func testSetup(t testing.TB, mech string, contexts int) (*Core, *uncore.Hierarchy) {
 	t.Helper()
-	prog := program.MustGenerate(program.GenParams{NumAppFuncs: 100, NumKernelFuncs: 24}, 11)
 	streams := make([]workload.Stream, contexts)
 	for k := range streams {
-		streams[k] = workload.NewWalker(prog, 3+uint64(k))
+		streams[k] = workload.NewWalker(testProg(), 3+uint64(k))
 	}
+	return testCore(t, mech, streams)
+}
+
+// testCore builds a core over the given context streams; nil streams are
+// left for Replay.
+func testCore(t testing.TB, mech string, streams []workload.Stream) (*Core, *uncore.Hierarchy) {
+	t.Helper()
+	prog := testProg()
 	cfg := uncore.DefaultConfig()
 	cfg.Mesh = noc.Config{Rows: 4, Cols: 4, HopCycles: 3, SlotsPerCycle: 2}
 	hier := uncore.New(cfg)
@@ -41,7 +57,7 @@ func testSetup(t testing.TB, mech string, contexts int) (*Core, *uncore.Hierarch
 	default:
 		t.Fatalf("unknown mech %s", mech)
 	}
-	return NewMultiContext(Config{LoadFrac: 0.2, DataBlocks: 1 << 10, DataZipfS: 0.8}, streams, engine, hier), hier
+	return NewMultiContext(testCfg, streams, engine, hier), hier
 }
 
 func TestRunRetiresInstructions(t *testing.T) {

@@ -8,7 +8,9 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"shotgun/internal/btb"
 	"shotgun/internal/footprint"
@@ -65,6 +67,19 @@ func keyOf(sc sim.Scenario) cacheKey {
 type flight struct {
 	once sync.Once
 	res  sim.ScenarioResult
+	done atomic.Bool // res is set
+}
+
+// do computes the flight's result once, reporting whether this call
+// was the one that ran compute.
+func (f *flight) do(compute func() sim.ScenarioResult) bool {
+	ran := false
+	f.once.Do(func() {
+		f.res = compute()
+		f.done.Store(true)
+		ran = true
+	})
+	return ran
 }
 
 // ResultStore is the persistence hook a Runner consults before
@@ -94,6 +109,7 @@ type Runner struct {
 
 	mu    sync.Mutex
 	cache map[cacheKey]*flight
+	tapes sim.TapeStats // summed over every PrefetchScenarios batch
 }
 
 // NewRunner builds a runner at the given scale with one worker per
@@ -130,13 +146,20 @@ func (r *Runner) SetStore(s ResultStore) { r.store = s }
 // Persistence is best-effort — a failed Put loses the cache entry for
 // the next restart, never the current batch (the store tracks its own
 // error counts).
-func (r *Runner) compute(sc sim.Scenario) sim.ScenarioResult {
+//
+// tapes, when non-nil, is the batch's shared tape set: the simulation
+// replays its streams and gives back its claim on them either way.
+func (r *Runner) compute(sc sim.Scenario, tapes *sim.TapeSet) sim.ScenarioResult {
 	if r.store != nil {
 		if res, ok := r.store.GetScenario(sc); ok {
+			tapes.Release(sc)
 			return res
 		}
 	}
-	res := sim.MustRunScenario(sc)
+	res, err := tapes.RunScenario(sc)
+	if err != nil {
+		panic(err)
+	}
 	if r.store != nil {
 		_ = r.store.PutScenario(sc, res)
 	}
@@ -200,8 +223,7 @@ func (r *Runner) flightFor(sc sim.Scenario) *flight {
 // already memoized or in flight, the existing result wins (it is the
 // same simulation by identity).
 func (r *Runner) Seed(sc sim.Scenario, res sim.ScenarioResult) {
-	f := r.flightFor(sc)
-	f.once.Do(func() { f.res = res })
+	r.flightFor(sc).do(func() sim.ScenarioResult { return res })
 }
 
 // RunScenario executes (or recalls) one scenario at the runner's scale.
@@ -221,7 +243,7 @@ func (r *Runner) RunScenario(sc sim.Scenario) sim.ScenarioResult {
 func (r *Runner) RunScenarioExact(sc sim.Scenario) sim.ScenarioResult {
 	norm, perm := sc.NormalizedPerm()
 	f := r.flightFor(norm)
-	f.once.Do(func() { f.res = r.compute(norm) })
+	f.do(func() sim.ScenarioResult { return r.compute(norm, nil) })
 	return f.res.Reorder(perm)
 }
 
@@ -243,6 +265,10 @@ func (r *Runner) Prefetch(cfgs []sim.Config) {
 // ExperimentN declares its full scenario set through Prefetch before
 // assembling its table, so the pool saturates every core while assembly
 // stays simple and serial.
+//
+// The batch's simulations share one sim.TapeSet, owned by this call:
+// each stream two or more of them walk is recorded once and replayed by
+// the rest, and every tape is gone when the call returns.
 func (r *Runner) PrefetchScenarios(scs []sim.Scenario) {
 	type job struct {
 		sc sim.Scenario
@@ -258,19 +284,39 @@ func (r *Runner) PrefetchScenarios(scs []sim.Scenario) {
 			continue
 		}
 		seen[key] = true
-		jobs = append(jobs, job{sc: sc, f: r.flightFor(sc)})
+		if f := r.flightFor(sc); !f.done.Load() {
+			jobs = append(jobs, job{sc: sc, f: f})
+		}
 	}
 	if len(jobs) == 0 {
 		return
+	}
+	// Results do not depend on execution order, so jobs run grouped by
+	// their first core's workload: a stream's users then run close
+	// together, and its tape is released long before the batch ends.
+	sort.SliceStable(jobs, func(a, b int) bool {
+		return jobs[a].sc.Cores[0].Workload < jobs[b].sc.Cores[0].Workload
+	})
+	batch := make([]sim.Scenario, len(jobs))
+	for i, j := range jobs {
+		batch[i] = j.sc
+	}
+	tapes := sim.NewTapeSet(batch)
+	defer r.addTapeStats(tapes)
+	run := func(j job) {
+		// A flight another caller computed meanwhile never walks its
+		// streams; give its claim back.
+		if !j.f.do(func() sim.ScenarioResult { return r.compute(j.sc, tapes) }) {
+			tapes.Release(j.sc)
+		}
 	}
 	workers := r.workers
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
 	if workers == 1 {
-		// Serial path: identical to the seed runner's execution order.
 		for _, j := range jobs {
-			j.f.once.Do(func() { j.f.res = r.compute(j.sc) })
+			run(j)
 		}
 		return
 	}
@@ -281,7 +327,7 @@ func (r *Runner) PrefetchScenarios(scs []sim.Scenario) {
 		go func() {
 			defer wg.Done()
 			for j := range ch {
-				j.f.once.Do(func() { j.f.res = r.compute(j.sc) })
+				run(j)
 			}
 		}()
 	}
@@ -290,6 +336,23 @@ func (r *Runner) PrefetchScenarios(scs []sim.Scenario) {
 	}
 	close(ch)
 	wg.Wait()
+}
+
+// addTapeStats adds a finished batch's tape counters to the runner's.
+func (r *Runner) addTapeStats(ts *sim.TapeSet) {
+	s := ts.Stats()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.tapes.Add(s)
+}
+
+// TapeStats returns the tape counters summed over every batch this
+// runner has prefetched: how many streams were recorded and how often
+// they were replayed.
+func (r *Runner) TapeStats() sim.TapeStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.tapes
 }
 
 // baselineConfig is the no-prefetch 2K-BTB configuration for a workload.

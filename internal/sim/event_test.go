@@ -22,7 +22,7 @@ func evtCfg(wl string, m Mechanism) Config {
 // production path of RunScenario without validation or reordering, in
 // the same signature as the runLockstep reference.
 func eventEngine(sc Scenario) (ScenarioResult, error) {
-	states, err := buildStates(sc, nil)
+	states, err := buildStates(sc, nil, nil)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
@@ -155,8 +155,9 @@ func fuzzScenario(data []byte) Scenario {
 
 // FuzzScenarioKernels extends the fixed engine-equality matrix to random
 // scenario shapes: every decoded scenario must run bit-equal on the
-// event kernel and the lockstep reference, and every result must hold
-// the shared invariants.
+// event kernel and the lockstep reference — live, and twice through one
+// shared tape set (the first run records, the second replays) — and
+// every result must hold the shared invariants.
 func FuzzScenarioKernels(f *testing.F) {
 	f.Add([]byte{})
 	// 2 cores: shotgun on 4 contexts with CLZ-TAGE, confluence on 2
@@ -184,6 +185,19 @@ func FuzzScenarioKernels(f *testing.F) {
 			if got.Cores[c] != want.Cores[c] {
 				t.Fatalf("scenario %s: core %d drifted from lockstep:\nevent:    %+v\nlockstep: %+v",
 					norm.CanonicalBytes(), c, got.Cores[c], want.Cores[c])
+			}
+		}
+		tapes := NewTapeSet([]Scenario{norm, norm})
+		for run := 0; run < 2; run++ {
+			taped, err := tapes.RunScenario(norm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := range want.Cores {
+				if taped.Cores[c] != want.Cores[c] {
+					t.Fatalf("scenario %s: taped run %d, core %d drifted from lockstep:\ntaped:    %+v\nlockstep: %+v",
+						norm.CanonicalBytes(), run, c, taped.Cores[c], want.Cores[c])
+				}
 			}
 		}
 	})

@@ -262,19 +262,20 @@ type ScenarioResult struct {
 // simulation); the returned Cores are mapped back to the caller's
 // order, so result.Cores[i] always describes the caller's Cores[i].
 func RunScenario(sc Scenario) (ScenarioResult, error) {
-	return runScenario(sc, nil)
+	return runScenario(sc, nil, nil)
 }
 
 // runScenario is RunScenario with an optional core-0 stream (RunStream's
-// replayed trace) in place of that core's walker. Exact schedules run on
-// the event kernel; a sampled config, which Validate confines to a
-// single-core scenario, runs the sampling schedule on its built core.
-func runScenario(sc Scenario, stream workload.Stream) (ScenarioResult, error) {
+// replayed trace) in place of that core's walker, and optional shared
+// tapes. Exact schedules run on the event kernel; a sampled config,
+// which Validate confines to a single-core scenario, runs the sampling
+// schedule on its built core.
+func runScenario(sc Scenario, stream workload.Stream, tapes *TapeSet) (ScenarioResult, error) {
 	if err := sc.Validate(); err != nil {
 		return ScenarioResult{}, err
 	}
 	norm, perm := sc.NormalizedPerm()
-	states, err := buildStates(norm, stream)
+	states, err := buildStates(norm, stream, tapes)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
@@ -390,8 +391,10 @@ func (cs *coreState) step() {
 // bit-identical initial state — same mesh config, same attach order,
 // same salted seeds — for the equality keystone
 // (TestEventKernelMatchesLockstep) to be meaningful. A non-nil stream
-// replaces core 0's context-0 walker (RunStream's replayed trace).
-func buildStates(sc Scenario, stream workload.Stream) ([]*coreState, error) {
+// replaces core 0's context-0 walker (RunStream's replayed trace); a
+// non-nil tape set feeds every context whose stream it shares from that
+// stream's tape.
+func buildStates(sc Scenario, stream workload.Stream, tapes *TapeSet) ([]*coreState, error) {
 	ucfg := uncore.DefaultConfig()
 	ucfg.LLCSizeBytes = sc.LLCSizeBytes
 	ucfg.Mesh = noc.SharedConfig(len(sc.Cores))
@@ -412,34 +415,41 @@ func buildStates(sc Scenario, stream workload.Stream) ([]*coreState, error) {
 		if err != nil {
 			return nil, err
 		}
-		salt := coreSalt(i)
 		hier := shared.AttachCore(i)
 		engine, err := buildEngine(prefetch.Context{Hier: hier, Dec: prof.Decoder()}, cfg)
 		if err != nil {
 			return nil, err
 		}
-		ccfg := core.Config{
-			CLZTage:    cfg.BPU == BPUCLZ,
-			LoadFrac:   prof.LoadFrac,
-			DataBlocks: prof.DataBlocks,
-			DataZipfS:  prof.DataZipfS,
-			DataSeed:   prof.WalkSeed ^ 0xd00d ^ salt,
-		}
-		// Context 0's walk seed carries only the core salt, so a
-		// one-context core walks the exact single-context stream.
-		nctx := cfg.Contexts
-		if nctx < 1 {
-			nctx = 1
-		}
+		ccfg := coreConfig(prof, cfg, i)
+		nctx := contextsOf(cfg)
+		walks := make([]*core.Tape, nctx)
 		streams := make([]workload.Stream, nctx)
 		for k := range streams {
-			streams[k] = workload.NewWalkerConfig(prof.Program(), prof.WalkSeed^salt^contextSalt(k), prof.Walk)
+			if i == 0 && k == 0 && stream != nil {
+				streams[k] = stream
+				continue
+			}
+			// Sampled runs skim blocks without data draws, which would
+			// put a tape's lanes out of step.
+			if cfg.Sampling == nil {
+				walks[k] = tapes.walk(prof, cfg, ucfg, i, k)
+			}
+			if walks[k] == nil {
+				streams[k] = walkerFor(prof, i, k)
+			}
 		}
-		if i == 0 && stream != nil {
-			streams[0] = stream
+		c := core.NewMultiContext(ccfg, streams, engine, hier)
+		for k, t := range walks {
+			if t != nil {
+				var dir *core.DirTape
+				if nctx == 1 {
+					dir = tapes.dir(prof, cfg, i, t)
+				}
+				c.Replay(k, t, dir)
+			}
 		}
 		cs := &coreState{
-			c:      core.NewMultiContext(ccfg, streams, engine, hier),
+			c:      c,
 			engine: engine,
 			phases: phasesOf(cfg),
 			res:    Result{Workload: cfg.Workload, Mechanism: cfg.Mechanism},
@@ -448,6 +458,30 @@ func buildStates(sc Scenario, stream workload.Stream) ([]*coreState, error) {
 		states[i] = cs
 	}
 	return states, nil
+}
+
+// coreConfig is core i's microarchitectural config: the predictor variant
+// and the profile's data side, seeded by core index.
+func coreConfig(prof workload.Profile, cfg Config, i int) core.Config {
+	return core.Config{
+		CLZTage:    cfg.BPU == BPUCLZ,
+		LoadFrac:   prof.LoadFrac,
+		DataBlocks: prof.DataBlocks,
+		DataZipfS:  prof.DataZipfS,
+		DataSeed:   prof.WalkSeed ^ 0xd00d ^ coreSalt(i),
+	}
+}
+
+// contextsOf is a config's hardware context count.
+func contextsOf(cfg Config) int {
+	return max(cfg.Contexts, 1)
+}
+
+// walkerFor builds the walker of core i's context k. Context 0's seed
+// carries only the core salt, so a one-context core walks the exact
+// single-context stream.
+func walkerFor(prof workload.Profile, i, k int) *workload.Walker {
+	return workload.NewWalkerConfig(prof.Program(), prof.WalkSeed^coreSalt(i)^contextSalt(k), prof.Walk)
 }
 
 // results closes out the per-core states into a canonical-order result.
@@ -472,7 +506,7 @@ func results(states []*coreState) ScenarioResult {
 // pins the two executions to bit-equal results. Keep both engines'
 // semantics in sync.
 func runLockstep(sc Scenario) (ScenarioResult, error) {
-	states, err := buildStates(sc, nil)
+	states, err := buildStates(sc, nil, nil)
 	if err != nil {
 		return ScenarioResult{}, err
 	}

@@ -293,7 +293,7 @@ func RunStream(cfg Config, stream workload.Stream) (Result, error) {
 	if cfg.Normalized().Contexts > 1 {
 		return Result{}, fmt.Errorf("sim: RunStream requires a single-context core")
 	}
-	return firstCore(runScenario(SingleCore(cfg), stream))
+	return firstCore(runScenario(SingleCore(cfg), stream, nil))
 }
 
 // firstCore unwraps a single-core scenario result.

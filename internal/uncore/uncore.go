@@ -231,6 +231,13 @@ func (s *Shared) ResetStats() {
 	s.Mesh.ResetStats()
 }
 
+// NewL1D builds an empty L1-D of the configured geometry — a core's own,
+// or a replica that predicts its outcomes (see DataHit).
+func (c Config) NewL1D() *cache.Cache {
+	c.setDefaults()
+	return cache.MustNew("L1-D", c.L1DSizeBytes, c.L1DWays)
+}
+
 // AttachCore builds the private hierarchy (L1-I, L1-D, prefetch buffer,
 // in-flight tracker) of core coreID over this shared uncore. The coreID
 // becomes the core's address-space tag on all shared-LLC traffic.
@@ -241,7 +248,7 @@ func (s *Shared) AttachCore(coreID int) *Hierarchy {
 		shared:    s,
 		asid:      isa.Addr(coreID) << asidShift,
 		L1I:       cache.MustNew("L1-I", s.cfg.L1ISizeBytes, s.cfg.L1IWays),
-		L1D:       cache.MustNew("L1-D", s.cfg.L1DSizeBytes, s.cfg.L1DWays),
+		L1D:       s.cfg.NewL1D(),
 		LLC:       s.LLC,
 		PrefBuf:   cache.NewPrefetchBuffer(s.cfg.PrefetchBufferEntries),
 		Mesh:      s.Mesh,
@@ -277,6 +284,9 @@ type Hierarchy struct {
 	nextReady uint64
 	// arrivals is PollArrivals' reusable scratch buffer.
 	arrivals []Arrival
+	// spare holds delivered fill records for reuse, so a steady-state
+	// fill allocates nothing.
+	spare []*flight
 
 	stats Stats
 }
@@ -303,7 +313,15 @@ func (h *Hierarchy) Shared() *Shared { return h.shared }
 
 // trackFill registers a new in-flight fill and lowers the arrival
 // watermark if this fill completes before every other outstanding one.
-func (h *Hierarchy) trackFill(fl *flight) {
+func (h *Hierarchy) trackFill(f flight) {
+	var fl *flight
+	if n := len(h.spare); n > 0 {
+		fl = h.spare[n-1]
+		h.spare = h.spare[:n-1]
+	} else {
+		fl = new(flight)
+	}
+	*fl = f
 	h.inflight[fl.block] = fl
 	h.heapPush(fl)
 	if fl.ready < h.nextReady {
@@ -429,7 +447,7 @@ func (h *Hierarchy) FetchBlock(now uint64, addr isa.Addr) (uint64, Source) {
 	} else {
 		h.stats.DemandMemFills++
 	}
-	h.trackFill(&flight{block: block, ready: ready, demand: true})
+	h.trackFill(flight{block: block, ready: ready, demand: true})
 	return ready, src
 }
 
@@ -458,7 +476,7 @@ func (h *Hierarchy) PrefetchBlock(now uint64, addr isa.Addr) (uint64, bool) {
 		h.stats.PrefetchMemFills++
 	}
 	h.stats.PrefetchesIssued++
-	h.trackFill(&flight{block: block, ready: ready, prefetch: true})
+	h.trackFill(flight{block: block, ready: ready, prefetch: true})
 	return ready, true
 }
 
@@ -505,6 +523,7 @@ func (h *Hierarchy) PollArrivals(now uint64) []Arrival {
 		fl := h.heapPop()
 		out = append(out, Arrival{Block: fl.block, Ready: fl.ready, Demand: fl.demand})
 		delete(h.inflight, fl.block)
+		h.spare = append(h.spare, fl)
 	}
 	if len(h.ordered) > 0 {
 		h.nextReady = h.ordered[0].ready
@@ -598,19 +617,36 @@ func (h *Hierarchy) WarmData(addr isa.Addr) {
 // behind Figure 11) and fill both levels.
 func (h *Hierarchy) DataAccess(now uint64, addr isa.Addr) (uint64, bool) {
 	block := addr.Block()
-	h.stats.DataAccesses++
 	if h.L1D.Access(block) {
-		h.stats.DataL1DHits++
+		h.DataHit()
 		return now, true
 	}
-	ready, src := h.llcFill(now, block)
+	h.L1D.Insert(block)
+	return h.DataMiss(now, block), false
+}
+
+// DataHit and DataMiss are DataAccess split at the L1-D lookup, for a
+// caller that already knows its outcome: the L1-D is private and only
+// DataAccess touches it, so its hits and misses are a function of the
+// core's load sequence alone, and a replica fed the same sequence
+// predicts them. Neither touches this hierarchy's L1-D. DataMiss returns
+// the cycle the data is available.
+func (h *Hierarchy) DataHit() {
+	h.stats.DataAccesses++
+	h.stats.DataL1DHits++
+}
+
+// DataMiss fills the block containing addr from the LLC or memory; see
+// DataHit.
+func (h *Hierarchy) DataMiss(now uint64, addr isa.Addr) uint64 {
+	h.stats.DataAccesses++
+	ready, src := h.llcFill(now, addr.Block())
 	if src == SrcLLC {
 		h.stats.DataLLCHits++
 	} else {
 		h.stats.DataMemFills++
 	}
-	h.L1D.Insert(block)
 	h.stats.DataFillCycles += ready - now
 	h.stats.DataFillSamples++
-	return ready, false
+	return ready
 }
