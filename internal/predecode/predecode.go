@@ -9,7 +9,9 @@
 package predecode
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
 
 	"shotgun/internal/btb"
 	"shotgun/internal/isa"
@@ -49,17 +51,38 @@ type decodeSeg struct {
 const segGapBlocks = 1 << 16
 
 // NewDecoder indexes every static branch in the program by the cache
-// block containing its branch instruction.
+// block containing its branch instruction. It visits the functions in
+// address order and appends each branch to one backing slice, so a cache
+// block's branches (in block order) form one contiguous run of it. That
+// needs every cache block to hold code of at most one function, which
+// the program's block-aligned layout guarantees; NewDecoder panics if
+// the program breaks it.
 func NewDecoder(prog *program.Program) *Decoder {
-	byBlock := make(map[isa.Addr][]Branch)
-	for _, f := range prog.Funcs {
+	funcs := slices.Clone(prog.Funcs)
+	slices.SortFunc(funcs, func(a, b *program.Function) int { return cmp.Compare(a.Entry(), b.Entry()) })
+
+	// blockRun is one cache block's branches: all[lo:hi].
+	type blockRun struct {
+		num    uint64
+		lo, hi int
+	}
+	all := make([]Branch, 0, prog.StaticBranches())
+	var runs []blockRun
+	for _, f := range funcs {
+		first := len(runs) // f's runs start here
 		for bi := range f.Blocks {
 			sb := &f.Blocks[bi]
 			if sb.Kind == isa.BranchNone {
 				continue
 			}
-			branchPC := sb.PC.Add(sb.NumInstr - 1)
-			cb := branchPC.Block()
+			num := sb.PC.Add(sb.NumInstr - 1).BlockIndex()
+			if n := len(runs); n == first || runs[n-1].num != num {
+				if n > 0 && runs[n-1].num >= num {
+					panic(fmt.Sprintf("predecode: function %d shares cache block %v with another function",
+						f.ID, isa.Addr(runs[n-1].num*isa.BlockBytes)))
+				}
+				runs = append(runs, blockRun{num: num, lo: len(all)})
+			}
 			entry := btb.Entry{NumInstr: sb.NumInstr, Kind: sb.Kind}
 			switch sb.Kind {
 			case isa.BranchCond, isa.BranchJump:
@@ -68,27 +91,24 @@ func NewDecoder(prog *program.Program) *Decoder {
 				entry.Target = prog.Func(sb.Callee).Entry()
 			}
 			// Returns read targets from the RAS; no static target.
-			byBlock[cb] = append(byBlock[cb], Branch{BlockPC: sb.PC, Entry: entry})
+			all = append(all, Branch{BlockPC: sb.PC, Entry: entry})
+			runs[len(runs)-1].hi = len(all)
 		}
 	}
 
-	d := &Decoder{blocks: len(byBlock)}
-	nums := make([]uint64, 0, len(byBlock))
-	for cb := range byBlock {
-		nums = append(nums, cb.BlockIndex())
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	for i := 0; i < len(nums); {
+	d := &Decoder{blocks: len(runs)}
+	for i := 0; i < len(runs); {
 		j := i + 1
-		for j < len(nums) && nums[j]-nums[j-1] < segGapBlocks {
+		for j < len(runs) && runs[j].num-runs[j-1].num < segGapBlocks {
 			j++
 		}
 		seg := decodeSeg{
-			base:     nums[i],
-			branches: make([][]Branch, nums[j-1]-nums[i]+1),
+			base:     runs[i].num,
+			branches: make([][]Branch, runs[j-1].num-runs[i].num+1),
 		}
-		for _, n := range nums[i:j] {
-			seg.branches[n-seg.base] = byBlock[isa.Addr(n*isa.BlockBytes)]
+		for _, r := range runs[i:j] {
+			// Capped, so an append by a caller cannot reach the next block.
+			seg.branches[r.num-seg.base] = all[r.lo:r.hi:r.hi]
 		}
 		d.segs = append(d.segs, seg)
 		i = j

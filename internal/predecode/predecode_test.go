@@ -106,3 +106,32 @@ func BenchmarkDecode(b *testing.B) {
 		d.Decode(entry + isa.Addr((i%64)*isa.BlockBytes))
 	}
 }
+
+func TestDecodeSlicesCapped(t *testing.T) {
+	prog := testProgram(t)
+	d := NewDecoder(prog)
+	for _, f := range prog.Funcs {
+		for a := f.Entry().Block(); a < f.End(); a += isa.BlockBytes {
+			if brs := d.Decode(a); cap(brs) != len(brs) {
+				t.Fatalf("block %v: cap %d > len %d; an append would overwrite the next block", a, cap(brs), len(brs))
+			}
+		}
+	}
+}
+
+// TestNewDecoderRejectsSharedBlock builds two functions whose returns
+// share one cache block, which block-aligned layout never produces.
+func TestNewDecoderRejectsSharedBlock(t *testing.T) {
+	ret := func(id program.FuncID, pc isa.Addr) *program.Function {
+		return &program.Function{ID: id, Blocks: []program.StaticBlock{
+			{PC: pc, NumInstr: 2, Kind: isa.BranchRet, Callee: program.NoFunc},
+		}}
+	}
+	prog := &program.Program{Funcs: []*program.Function{ret(0, 0x1000), ret(1, 0x1000+2*isa.InstrBytes)}}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewDecoder accepted two functions in one cache block")
+		}
+	}()
+	NewDecoder(prog)
+}

@@ -195,13 +195,12 @@ type builder struct {
 	// group (0 = hottest). Callee selection Zipf-samples ranks.
 	popRank []int
 
-	// rankedByGroup[g] lists the callable functions of role group g
-	// (trap entries excluded) hottest-first; rankedTraps lists trap
-	// entries hottest-first. Precomputed once so calleeCandidates is a
-	// filter over an already-sorted list instead of a per-function
-	// scan-and-sort of the whole program.
-	rankedByGroup [2][]FuncID
-	rankedTraps   []FuncID
+	// candidates[g][L] lists the functions a layer-L function of role
+	// group g may call, hottest first; rankedTraps lists trap entries
+	// hottest first. Both are built once by prepareCandidates and shared
+	// read-only by every fillBody.
+	candidates  [2][][]FuncID
+	rankedTraps []FuncID
 }
 
 func (b *builder) setRank(id FuncID, rank int) {
@@ -315,22 +314,33 @@ func (b *builder) permute(n int) []int {
 // collapsing onto the leaf layers.
 const calleeLayerWindow = 3
 
-// prepareCandidates sorts each role group's callable functions (and the
-// trap entries) by popularity once, after the skeletons exist. Popularity
-// ranks are unique within a group, so the sorted order is unique and
-// calleeCandidates' output is exactly what the per-function
-// scan-and-sort used to produce.
+// prepareCandidates builds every callee-candidate list once, after the
+// skeletons exist. A function's candidates depend only on its role group
+// and its layer: they come from the window of layers directly below it
+// or, if that window is empty, from any lower layer. Candidates lie
+// strictly below the caller's layer, so a function never lists itself.
+// Popularity ranks are unique within a group, so each list's
+// hottest-first order is unique.
 func (b *builder) prepareCandidates() {
+	var ranked [2][]FuncID
+	maxLayer := [2]int{-1, -1}
 	for _, g := range b.prog.Funcs {
-		if g.Role == RoleTrapEntry {
-			continue
-		}
 		grp := roleGroup(g.Role)
-		b.rankedByGroup[grp] = append(b.rankedByGroup[grp], g.ID)
+		maxLayer[grp] = max(maxLayer[grp], g.Layer)
+		if g.Role != RoleTrapEntry {
+			ranked[grp] = append(ranked[grp], g.ID)
+		}
 	}
-	for grp := range b.rankedByGroup {
-		ids := b.rankedByGroup[grp]
+	for grp, ids := range ranked {
 		sort.Slice(ids, func(i, j int) bool { return b.popRank[ids[i]] < b.popRank[ids[j]] })
+		b.candidates[grp] = make([][]FuncID, maxLayer[grp]+1)
+		for layer := range b.candidates[grp] {
+			c := b.inLayers(ids, layer-calleeLayerWindow, layer)
+			if len(c) == 0 {
+				c = b.inLayers(ids, 0, layer)
+			}
+			b.candidates[grp][layer] = c
+		}
 	}
 	b.rankedTraps = append([]FuncID(nil), b.prog.TrapEntries...)
 	sort.Slice(b.rankedTraps, func(i, j int) bool {
@@ -338,28 +348,14 @@ func (b *builder) prepareCandidates() {
 	})
 }
 
-// calleeCandidates returns the functions f may legally call, hottest
-// first, so a Zipf draw over the slice index yields popularity-skewed
-// call graphs. Candidates come from the window of layers directly below
-// f; if that window is empty, any lower layer is allowed.
-func (b *builder) calleeCandidates(f *Function) []FuncID {
-	ranked := b.rankedByGroup[roleGroup(f.Role)]
-	pick := func(minLayer int) []FuncID {
-		var out []FuncID
-		for _, id := range ranked {
-			g := b.prog.Funcs[id]
-			if id == f.ID {
-				continue
-			}
-			if g.Layer < f.Layer && g.Layer >= minLayer {
-				out = append(out, id)
-			}
+// inLayers returns the functions of ranked whose layer lies in [lo, hi),
+// in ranked's order.
+func (b *builder) inLayers(ranked []FuncID, lo, hi int) []FuncID {
+	var out []FuncID
+	for _, id := range ranked {
+		if l := b.prog.Funcs[id].Layer; l >= lo && l < hi {
+			out = append(out, id)
 		}
-		return out
-	}
-	out := pick(f.Layer - calleeLayerWindow)
-	if len(out) == 0 {
-		out = pick(0)
 	}
 	return out
 }
@@ -425,7 +421,9 @@ func (b *builder) fillBody(f *Function) {
 	}
 
 	nBlocks := b.fnNumBlocks(sizeBoost)
-	callees := b.calleeCandidates(f)
+	// Hottest first, so a Zipf draw over the index yields
+	// popularity-skewed call graphs. Shared: never mutate it.
+	callees := b.candidates[roleGroup(f.Role)][f.Layer]
 	var calleeZipf *xrand.Zipf
 	if len(callees) > 0 {
 		calleeZipf = xrand.NewZipf(b.rng, len(callees), b.p.ZipfS)

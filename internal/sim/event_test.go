@@ -81,6 +81,22 @@ func TestEventKernelMatchesLockstep(t *testing.T) {
 	)
 	names = append(names, "n1_clz", "n2_clz", "n8_clz_all_mechanisms",
 		"n1_smt2", "n2_smt_mixed", "n8_smt_all_mechanisms")
+	// Both sides of each NoC ladder step: 16 cores are the last on the
+	// 4x4 mesh and 17 the first on the 8x8, 64 the last on the 8x8 and
+	// 65 the first on the 16x16. The 65-core pair costs minutes under
+	// the race detector, so -race builds leave it to the golden job.
+	ladder := []int{16, 17, 64}
+	if !raceEnabled {
+		ladder = append(ladder, 65)
+	}
+	for _, n := range ladder {
+		var mix []Config
+		for i := 0; i < n; i++ {
+			mix = append(mix, evtCfg(wls[i%len(wls)], mechs[i%len(mechs)]))
+		}
+		cases = append(cases, Scenario{Cores: mix})
+		names = append(names, fmt.Sprintf("n%d_ladder", n))
+	}
 
 	for i, sc := range cases {
 		sc := sc

@@ -3,6 +3,7 @@
 package sim
 
 // raceEnabled is set in -race builds, where TestTapesMatchLive runs only
-// its concurrent pass: the serial passes check nothing the detector
-// could add to, at ten times the cost.
+// its concurrent pass and TestEventKernelMatchesLockstep skips its
+// 65-core case: they check nothing the detector could add to, at ten
+// times the cost.
 const raceEnabled = true
